@@ -28,8 +28,8 @@ from .serialize import (CertificateBundle, ParseError, SchemaError,
                         bundle_to_json, canonical_bytes, enc,
                         graph_from_json, leveling_to_json, model_from_json,
                         outcome_to_json, pair_from_json, pair_to_json,
-                        read_bundle, rendition_from_json, rendition_to_json,
-                        representation_to_json, write_bundle, _field)
+                        rendition_from_json, rendition_to_json,
+                        representation_to_json, _field)
 from .tilt import compute_tilt, regularize
 from .wall import is_tilt, subwall
 
@@ -85,12 +85,17 @@ def load_params(path) -> Params:
     return replace(p, limits=p.limits.override_from_env())
 
 
+def _payload(d, kind):
+    """The payload of the bundle `d`, which must be of the given kind."""
+    got = _field(d, "kind", "bundle")
+    if got != kind:
+        raise SchemaError(f"expected a {kind} bundle", witness={"kind": got})
+    return _field(d, "payload", "bundle")
+
+
 def _load_pair(path):
-    b = read_bundle(path)
-    if b.kind != "flatness-pair":
-        raise SchemaError("expected a flatness-pair bundle",
-                          witness={"kind": b.kind})
-    return pair_from_json(b.payload, "bundle.payload")
+    return pair_from_json(_payload(_load_json(path), "flatness-pair"),
+                          "bundle.payload")
 
 
 def _parse_subwall(text):
@@ -171,12 +176,11 @@ def cmd_validate(pairfile, lenient_pegs):
 @guarded
 def cmd_tighten(rendfile, output, verify):
     """Run the tightening pass on a rendition bundle."""
-    b = read_bundle(rendfile)
-    if b.kind != "rendition":
-        raise SchemaError("expected a rendition bundle",
-                          witness={"kind": b.kind})
-    G = graph_from_json(_field(b.payload, "graph", "bundle.payload"))
-    R = rendition_from_json(_field(b.payload, "rendition", "bundle.payload"))
+    payload = _payload(_load_json(rendfile), "rendition")
+    G = graph_from_json(_field(payload, "graph", "bundle.payload"),
+                        "bundle.payload.graph")
+    R = rendition_from_json(_field(payload, "rendition", "bundle.payload"),
+                            "bundle.payload.rendition")
     notes = []
     R2 = tighten(G, R, report=notes)
     if verify:
@@ -186,9 +190,9 @@ def cmd_tighten(rendfile, output, verify):
                                    "violations": rep.violations},
                                   sort_keys=True, default=str), err=True)
             sys.exit(1)
-    payload = {"graph": b.payload["graph"],
-               "rendition": rendition_to_json(R2), "notes": notes}
-    _emit(CertificateBundle("rendition", payload), output)
+    out = {"graph": payload["graph"],
+           "rendition": rendition_to_json(R2), "notes": notes}
+    _emit(CertificateBundle("rendition", out), output)
 
 
 @main.command("tilt")
@@ -320,11 +324,7 @@ def cmd_find_wall(graphfile, height, order, paramsfile, oraclespec, output,
     """Run the driver: minor, tree decomposition, or flat wall."""
     raw = _load_json(graphfile)
     if isinstance(raw, dict) and "kind" in raw:
-        b = read_bundle(graphfile)
-        if b.kind != "graph":
-            raise SchemaError("expected a graph bundle",
-                              witness={"kind": b.kind})
-        G = graph_from_json(b.payload)
+        G = graph_from_json(_payload(raw, "graph"), "bundle.payload")
     else:
         G = graph_from_json(raw)
     p = load_params(paramsfile)

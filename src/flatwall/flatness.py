@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -32,10 +31,21 @@ Cycle = Union[Wall, Sequence]
 
 
 class FlatnessPair:
-    """(W, X, Y, P, C) plus the rendition of G[Y]; immutable once built."""
+    """(W, X, Y, P, C) plus the rendition of G[Y].
 
-    __slots__ = ("wall", "X", "Y", "pegs_corners", "rendition",
-                 "_memo", "_lock")
+    Immutable after construction: no field is reassigned and the wall, the
+    pegs and corners and the rendition are never changed. So every fact
+    derived from them is computed once and kept in `_memo`:
+
+    - "owner": the cell owning each compass edge (`edge_owner`);
+    - "untidy": the untidy cells (`untidy_cells`);
+    - ("classes", cycle edges): the cell classes against a cycle
+      (`classify_cells`);
+    - ("validated", G, strict_pegs, lenient_pegs): the violations
+      `validate_flatness` found against the graph G, keyed by its content.
+    """
+
+    __slots__ = ("wall", "X", "Y", "pegs_corners", "rendition", "_memo")
 
     def __init__(self, wall: Wall, X, Y, pegs_corners: PegsCorners,
                  rendition: Rendition):
@@ -45,7 +55,6 @@ class FlatnessPair:
         self.pegs_corners = pegs_corners
         self.rendition = rendition
         self._memo: Dict = {}
-        self._lock = threading.Lock()
 
     @property
     def height(self) -> int:
@@ -58,15 +67,10 @@ class FlatnessPair:
         return frozenset(self.rendition.pi.values())
 
     def edge_owner(self) -> Dict[Tuple, object]:
-        with self._lock:
-            got = self._memo.get("owner")
-        if got is not None:
-            return got
-        owner = {}
-        for cid, g in self.rendition.sigma.items():
-            for e in g.edges:
-                owner[e] = cid
-        with self._lock:
+        owner = self._memo.get("owner")
+        if owner is None:
+            owner = {e: cid for cid, g in self.rendition.sigma.items()
+                     for e in g.edge_set}
             self._memo["owner"] = owner
         return owner
 
@@ -102,6 +106,9 @@ def short_edges(F: FlatnessPair) -> FrozenSet:
 
 def untidy_cells(F: FlatnessPair) -> FrozenSet:
     """Cells hiding two wall edges at one ground vertex of their boundary."""
+    got = F._memo.get("untidy")
+    if got is not None:
+        return got
     wedges = F.wall.graph.edge_set
     out = set()
     for cid, g in F.rendition.sigma.items():
@@ -112,7 +119,8 @@ def untidy_cells(F: FlatnessPair) -> FrozenSet:
             if hits >= 2:
                 out.add(cid)
                 break
-    return frozenset(out)
+    F._memo["untidy"] = frozenset(out)
+    return F._memo["untidy"]
 
 
 # -- validation ------------------------------------------------------------
@@ -126,9 +134,8 @@ def validate_flatness(G: Graph, F: FlatnessPair,
     Rerouted walls may carry pegs on 3-branch vertices; for those only the
     chain C <= P <= X cap Y <= V(D(W)) is enforced.
     """
-    memo_key = ("validated", id(G), strict_pegs, lenient_pegs)
-    with F._lock:
-        got = F._memo.get(memo_key)
+    memo_key = ("validated", G, strict_pegs, lenient_pegs)
+    got = F._memo.get(memo_key)
     if got is not None:
         return list(got)
     problems = []
@@ -178,8 +185,7 @@ def validate_flatness(G: Graph, F: FlatnessPair,
             for cond, items in sorted(rep.violations.items()):
                 if items:
                     problems.append(f"tightness ({cond}): {items[:3]}")
-    with F._lock:
-        F._memo[memo_key] = tuple(problems)
+    F._memo[memo_key] = tuple(problems)
     return problems
 
 
@@ -258,8 +264,7 @@ def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
     cyc = tuple(C.perimeter) if isinstance(C, Wall) else tuple(C)
     key = ("classes", frozenset(norm_edge(cyc[i], cyc[(i + 1) % len(cyc)])
                                 for i in range(len(cyc))))
-    with F._lock:
-        got = F._memo.get(key)
+    got = F._memo.get(key)
     if got is not None:
         return got
 
@@ -281,8 +286,7 @@ def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
         out[cid] = CellClass("external", False, cid in untidy)
     if set(out) != set(F.rendition.painting.cells):
         raise InternalError("classification missed a cell")
-    with F._lock:
-        F._memo[key] = out
+    F._memo[key] = out
     return out
 
 
@@ -466,9 +470,19 @@ def _edge_cid(b: _Builder, u: str, v: str) -> str:
     raise InternalError("no edge cell between the endpoints", witness=[u, v])
 
 
-def _plant_star(b: _Builder, rng: random.Random, brick):
+def _plant_star(b: _Builder, rng: random.Random, brick, untidy_site=None):
+    """Plant a 3-node star cell in the face of `brick`.
+
+    An untidy cell on the path x-z-y cuts z off from the brick holding all
+    three, so a star there takes the next free brick vertex instead of z.
+    """
     verts = [b.W.branch_coords[c] for c in brick]
     picks = sorted(rng.sample(range(len(verts)), 3))
+    if untidy_site is not None and set(untidy_site) <= set(brick):
+        z = brick.index(untidy_site[1])
+        if z in picks:
+            spare = min(set(range(len(verts))) - set(picks))
+            picks = sorted(set(picks) - {z} | {spare})
     nodes = [verts[i] for i in picks]
     g = b.fresh()
     cid = f"c|star|{g}"
@@ -631,7 +645,7 @@ def generate_fixture(seed: int, r: int,
 
     if profile in ("with-flaps", "combined"):
         for brick in rng.sample(temp_bricks(r), 1 + rng.randrange(2)):
-            _plant_star(b, rng, brick)
+            _plant_star(b, rng, brick, untidy_site)
     if untidy_site is not None:
         _plant_untidy(b, untidy_site[1], untidy_site[0], untidy_site[2])
     if untidy2_site is not None:

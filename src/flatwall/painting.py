@@ -21,6 +21,9 @@ from .errors import InputError, InternalError, UnsupportedError
 NV = Tuple[str, object]      # ("n", node) or ("c", cell)
 
 
+_UNSET = object()           # a memo not computed yet, where None is a value
+
+
 def _n(x) -> NV:
     return ("n", x)
 
@@ -30,10 +33,19 @@ def _c(x) -> NV:
 
 
 class Painting:
-    """A disk embedding of a hypergraph with hyperedges of size <= 3."""
+    """A disk embedding of a hypergraph with hyperedges of size <= 3.
+
+    Immutable after construction: nodes, cells, rotations and the outer
+    boundary are never changed. So the tables derived from them are built
+    once, on first use, and kept on the object: the incidence rotation
+    system (`rot`), the faces (`trace_faces`), the face of every dart
+    (`_face_index`), the connected components (`_components`), the outer
+    face (`outer_face`) and the spokes with the faces on either side
+    (`_spokes`).
+    """
 
     __slots__ = ("nodes", "cells", "rotations", "outer", "_rot", "_faces",
-                 "_face_of")
+                 "_face_of", "_comps", "_outer_face", "_spoke_faces")
 
     def __init__(self, nodes, cells: Dict, rotations: Dict, outer: Sequence):
         self.nodes = tuple(sorted(nodes, key=str))
@@ -43,6 +55,9 @@ class Painting:
         self._rot: Optional[Dict[NV, Tuple[NV, ...]]] = None
         self._faces = None
         self._face_of = None
+        self._comps = None
+        self._outer_face = _UNSET
+        self._spoke_faces = None
 
     def boundary(self, cid) -> Tuple:
         return self.cells[cid]
@@ -101,6 +116,25 @@ def trace_faces(P: Painting) -> List[Tuple[Tuple[NV, NV], ...]]:
     return faces
 
 
+def _face_index(P: Painting) -> Dict[Tuple[NV, NV], int]:
+    """The index in `trace_faces(P)` of the face holding each dart."""
+    if P._face_of is None:
+        P._face_of = {d: i for i, f in enumerate(trace_faces(P)) for d in f}
+    return P._face_of
+
+
+def _spokes(P: Painting) -> Dict[object, Tuple[Tuple[object, int, int], ...]]:
+    """The spokes of each cell in boundary order, as (node, face of the dart
+    node -> cell, face of the dart cell -> node)."""
+    if P._spoke_faces is None:
+        face_of = _face_index(P)
+        P._spoke_faces = {
+            cid: tuple((x, face_of[(_n(x), _c(cid))],
+                        face_of[(_c(cid), _n(x))]) for x in b)
+            for cid, b in P.cells.items()}
+    return P._spoke_faces
+
+
 def _face_node_sequence(face) -> List:
     return [u[1] for u, _ in face if u[0] == "n"]
 
@@ -129,6 +163,8 @@ def _cyclic_subsequence(needle: Sequence, hay: Sequence) -> bool:
 
 
 def _components(P: Painting) -> List[FrozenSet[NV]]:
+    if P._comps is not None:
+        return P._comps
     rot = P.rot()
     seen = set()
     comps = []
@@ -146,11 +182,18 @@ def _components(P: Painting) -> List[FrozenSet[NV]]:
                     comp.add(y)
                     stack.append(y)
         comps.append(frozenset(comp))
+    P._comps = comps
     return comps
 
 
 def outer_face(P: Painting):
     """The traced face showing the declared outer nodes in order, if any."""
+    if P._outer_face is _UNSET:
+        P._outer_face = _find_outer_face(P)
+    return P._outer_face
+
+
+def _find_outer_face(P: Painting):
     faces = trace_faces(P)
     non_isolated = [x for x in P.outer if P.rotations.get(x)]
     # mirror embeddings describe the same disk, so a reversed outer order is
@@ -289,41 +332,37 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple], z_rule: Sequence[bool
         if flags[i] and third[i] is None:
             raise InputError("arc flag set on a two-node cell", witness=c)
 
-    faces = trace_faces(P)
-    face_of: Dict[Tuple[NV, NV], int] = {}
-    for i, f in enumerate(faces):
-        for d in f:
-            face_of[d] = i
-
+    face_of = _face_index(P)
     blocked = set()
     on_curve = set(entry_nodes)
     for i, (p, c, q) in enumerate(runs):
-        blocked.add(frozenset((_n(p), _c(c))))
-        blocked.add(frozenset((_c(c), _n(q))))
+        blocked.add((p, c))
+        blocked.add((q, c))
         if flags[i]:
-            blocked.add(frozenset((_n(third[i]), _c(c))))
+            blocked.add((third[i], c))
             on_curve.add(third[i])
 
-    uf = _UF(len(faces))
-    rot = P.rot()
-    for u, ns in rot.items():
-        for v in ns:
-            if frozenset((u, v)) in blocked:
-                continue
-            uf.union(face_of[(u, v)], face_of[(v, u)])
+    spokes = _spokes(P)
+    n_faces = len(trace_faces(P))
+    uf = _UF(n_faces)
+    for cid, ends in spokes.items():
+        for x, a, b in ends:
+            if (x, cid) not in blocked:
+                uf.union(a, b)
+    region = [uf.find(f) for f in range(n_faces)]
 
     outer = outer_face(P)
     if outer is None:
         raise InputError("painting has no face matching its outer boundary")
-    outer_region = uf.find(face_of[outer[0]]) if outer else 0
+    outer_region = region[face_of[outer[0]]] if outer else 0
 
     inside = set()
     outside = set()
     run_set = set(run_cells)
-    for cid in P.cells:
+    for cid, ends in spokes.items():
         if cid in run_set:
             continue
-        regions = {uf.find(face_of[(_c(cid), _n(x))]) for x in P.cells[cid]}
+        regions = {region[b] for _, _, b in ends}
         if len(regions) != 1:
             raise InternalError("cell off the curve spans two regions",
                                 witness=cid)
@@ -345,9 +384,9 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple], z_rule: Sequence[bool
             b = P.cells[c]
             j = b.index(p)
             x = p if b[(j + 1) % 3] == q else q
-            reg = uf.find(face_of[(_c(c), _n(x))])
+            reg = region[face_of[(_c(c), _n(x))]]
         else:
-            reg = uf.find(face_of[(_c(c), _n(t))])
+            reg = region[face_of[(_c(c), _n(t))]]
         sides.append(reg != outer_region)
     return NormalCycleTrace(tuple(runs), tuple(flags),
                             frozenset(inside), frozenset(outside),

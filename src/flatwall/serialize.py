@@ -400,8 +400,3 @@ def read_bundle(src) -> CertificateBundle:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}",
                          witness={"line": e.lineno, "column": e.colno})
     return parse_bundle(d)
-
-
-def payload_object(b: CertificateBundle):
-    """The parsed domain object behind a bundle."""
-    return _PAYLOAD_PARSERS[b.kind](b.payload, "bundle.payload")

@@ -431,10 +431,6 @@ def validate_tilt(G: Graph, F: FlatnessPair, Wp: Wall,
 
 def compute_tilt(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
     res = tilt_main(G, F, Wp)
-    bad = validate_flatness(G, res.pair, lenient_pegs=True)
-    if bad:
-        raise InternalError("tilt output fails flatness validation",
-                            witness=bad)
     if is_regular(F) and not is_regular(res.pair):
         raise InternalError("tilt of a regular pair came out irregular")
     return res

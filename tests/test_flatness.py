@@ -9,6 +9,9 @@ from flatwall.flatness import (FlatnessPair, classify_cells, cycle_runs,
                                flaps, generate_fixture, influence,
                                influence_union, is_regular, short_edges,
                                untidy_cells, validate_flatness)
+from flatwall.graph import Graph
+from flatwall.painting import Painting, trace_normal_cycle
+from flatwall.rendition import Rendition
 from flatwall.wall import enumerate_subwalls, temp_perimeter
 
 
@@ -28,6 +31,17 @@ def test_fixture_deterministic():
     g2, f2 = generate_fixture(7, 3, "with-flaps")
     assert g1.edge_set == g2.edge_set
     assert f1.rendition.key() == f2.rendition.key()
+
+
+@pytest.mark.parametrize("seed, r", [(86, 3), (2723, 3), (19, 5), (4215, 5)])
+def test_combined_star_on_untidy_vertex_moves_over(seed, r):
+    # each draw puts a star flap on the middle vertex of the untidy site, in
+    # the brick the untidy cell cuts that vertex off from
+    G, F = generate_fixture(seed, r, "combined")
+    assert validate_flatness(G, F) == []
+    assert untidy_cells(F)
+    assert any(str(cid).startswith("c|star|")
+               for cid in F.rendition.painting.cells)
 
 
 def test_unknown_profile_rejected():
@@ -162,6 +176,42 @@ def test_influence_excludes_exactly_external():
 def test_classification_memoized():
     G, F = generate_fixture(11, 3)
     assert classify_cells(F, F.wall) is classify_cells(F, F.wall)
+
+
+@pytest.mark.parametrize("seed, height, profile",
+                         [(0, 7, "with-flaps"), (0, 5, "with-untidy")])
+def test_memoized_invariants_match_cold_copies(seed, height, profile):
+    G, F = generate_fixture(seed, height, profile)
+    R = F.rendition
+    P = R.painting
+    for _, _, S in enumerate_subwalls(F.wall, 3):
+        cold_P = Painting(P.nodes, P.cells, P.rotations, P.outer)
+        cold = FlatnessPair(F.wall, F.X, F.Y, F.pegs_corners,
+                            Rendition(cold_P, R.sigma, R.pi, R.omega))
+        assert classify_cells(F, S) == classify_cells(cold, S)
+        runs, flags, _ = cycle_runs(F, S.perimeter)
+        assert (trace_normal_cycle(P, runs, flags)
+                == trace_normal_cycle(cold_P, runs, flags))
+        assert untidy_cells(F) == untidy_cells(cold)
+
+
+def test_validation_memo_ignores_recycled_graph_ids():
+    G, F = generate_fixture(0, 3)
+    assert validate_flatness(G, F) == []
+    dropped = F.wall.graph.edges[0]
+    vertices = G.vertices
+    edges = [e for e in G.edges if e != dropped]
+    stale = id(G)
+    del G
+    # CPython hands a freed slot to the next object of the same size; keep
+    # each miss alive so that every retry gets a fresh slot
+    held = []
+    for _ in range(1000):
+        H = Graph(vertices, edges)
+        if id(H) == stale:
+            break
+        held.append(H)
+    assert any("missing from G" in p for p in validate_flatness(H, F))
 
 
 def test_cycle_input_errors():

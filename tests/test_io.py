@@ -1,9 +1,13 @@
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import flatwall.serialize
 from flatwall.cli import load_params, main
 from flatwall.config import Params
 from flatwall.errors import (CapacityError, InputError, InternalError,
@@ -153,6 +157,38 @@ def test_cli_validate_good_and_bad(tmp_path):
     res = runner.invoke(main, ["validate", str(bad)])
     assert res.exit_code == 1
     assert json.loads(res.output)["violations"]
+
+
+def test_cli_parses_a_pair_bundle_once(tmp_path, monkeypatch):
+    path, G, F = write_pair(tmp_path, 0, 3)
+    calls = []
+    parse = flatwall.serialize.graph_from_json
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(flatwall.serialize, "graph_from_json", counting)
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0, res.output
+    # the graph, then one flap per cell
+    assert len(calls) == 1 + len(F.rendition.sigma)
+
+
+def test_readme_examples_use_defined_options():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [ln for ln in readme.read_text(encoding="utf-8").splitlines()
+             if re.match(r"\s*flatwall\s", ln)]
+    assert lines
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        command = main.commands.get(words[1])
+        assert command is not None, line
+        defined = {opt for param in command.params
+                   for opt in param.opts + param.secondary_opts}
+        for word in words[2:]:
+            if word.startswith("-"):
+                assert word.split("=")[0] in defined, line
 
 
 def test_cli_validate_usage_errors(tmp_path):
