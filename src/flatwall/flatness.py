@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import CapacityError, InputError, InternalError
-from .graph import Graph, is_separation, norm_edge, vkey
+from .graph import Graph, cyclic_equal, is_separation, norm_edge, vkey
 from .painting import Painting, trace_normal_cycle, validate_painting
 from .rendition import Rendition, check_tightness, validate_rendition
 from .wall import (PegsCorners, Wall, choices_of_pegs_corners, elementary_wall,
@@ -178,7 +178,7 @@ def validate_flatness(G: Graph, F: FlatnessPair,
     problems.extend(f"rendition: {p}" for p in validate_rendition(H, R))
     if not problems:
         want = tuple(v for v in W.perimeter if v in mid)
-        if not _cyclic_eq(R.omega, want):
+        if not cyclic_equal(R.omega, want):
             problems.append("omega disagrees with the perimeter order of X cap Y")
         rep = check_tightness(H, R)
         if not rep.is_tight:
@@ -187,20 +187,6 @@ def validate_flatness(G: Graph, F: FlatnessPair,
                     problems.append(f"tightness ({cond}): {items[:3]}")
     F._memo[memo_key] = tuple(problems)
     return problems
-
-
-def _cyclic_eq(a: Sequence, b: Sequence) -> bool:
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    for c in (a, tuple(reversed(a))):
-        for i, x in enumerate(b):
-            if x == c[0] and doubled[i:i + len(c)] == c:
-                return True
-    return False
 
 
 # -- cell classification ---------------------------------------------------

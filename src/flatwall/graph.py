@@ -6,7 +6,7 @@ operation is deterministic and reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError, NoPathError
 from .config import DEFAULT_LIMITS
@@ -25,6 +25,21 @@ def norm_edge(u, v) -> tuple:
     if u == v:
         raise InputError("loop edge", witness=repr(u))
     return (u, v) if vkey(u) < vkey(v) else (v, u)
+
+
+def cyclic_equal(a: Sequence, b: Sequence) -> bool:
+    """a equals b up to rotation and reflection."""
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    doubled = b + b
+    for c in (a, tuple(reversed(a))):
+        for i, x in enumerate(b):
+            if x == c[0] and doubled[i:i + len(c)] == c:
+                return True
+    return False
 
 
 class Graph:
@@ -268,41 +283,40 @@ def contract_matching(G: Graph, M: Iterable) -> Tuple[Graph, Dict]:
 _BIG = 1 << 30
 
 
-def max_vertex_disjoint_paths(G: Graph, A: Iterable, B: Iterable,
-                              fan: bool = False) -> List[Tuple]:
-    """A maximum family of vertex-disjoint A-B paths.
+def _vertex_flow(G: Graph, A: Iterable, B: Iterable, fan: bool = False):
+    """Maximum A-B flow in G with unit vertex capacities (Edmonds-Karp).
 
-    With fan=True the source vertices carry unbounded capacity, so the result
-    may share source endpoints (internally vertex-disjoint fan).
+    Vertex v is split into an arc (v, 0) -> (v, 1) of capacity 1, or _BIG
+    for a fan source. Source and edge arcs carry _BIG; sink arcs carry 1, so
+    a fan source that is also a sink gives one trivial path. Returns the
+    network's capacities and the residual capacities of the flow found.
     """
     A = sorted(set(A), key=vkey)
     B = sorted(set(B), key=vkey)
     for v in A + B:
         if v not in G:
             raise InputError("unknown vertex", witness=repr(v))
-    Aset, Bset = set(A), set(B)
-    if not A or not B:
-        return []
-
     S, T = ("#S",), ("#T",)
-    cap: Dict[Tuple, Dict] = {}
+    cap: Dict[Tuple, Dict] = {S: {}, T: {}}
+    if not A or not B:
+        return cap, cap
 
     def add_arc(u, v, c):
         cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
         cap.setdefault(v, {}).setdefault(u, 0)
 
+    Aset = set(A)
     for v in G.vertices:
-        c = _BIG if (fan and v in Aset) else 1
-        add_arc((v, 0), (v, 1), c)
+        add_arc((v, 0), (v, 1), _BIG if (fan and v in Aset) else 1)
     for u, v in G.edges:
-        add_arc((u, 1), (v, 0), 1)
-        add_arc((v, 1), (u, 0), 1)
+        add_arc((u, 1), (v, 0), _BIG)
+        add_arc((v, 1), (u, 0), _BIG)
     for a in A:
-        add_arc(S, (a, 0), _BIG if fan else 1)
+        add_arc(S, (a, 0), _BIG)
     for b in B:
         add_arc((b, 1), T, 1)
+    orig = {x: dict(outs) for x, outs in cap.items()}
 
-    # Edmonds-Karp
     while True:
         parent = {S: None}
         queue = deque([S])
@@ -313,7 +327,7 @@ def max_vertex_disjoint_paths(G: Graph, A: Iterable, B: Iterable,
                     parent[y] = x
                     queue.append(y)
         if T not in parent:
-            break
+            return orig, cap
         y = T
         while parent[y] is not None:
             x = parent[y]
@@ -321,13 +335,22 @@ def max_vertex_disjoint_paths(G: Graph, A: Iterable, B: Iterable,
             cap[y][x] += 1
             y = x
 
-    # flow decomposition: follow saturated forward arcs from S
+
+def max_vertex_disjoint_paths(G: Graph, A: Iterable, B: Iterable,
+                              fan: bool = False) -> List[Tuple]:
+    """A maximum family of vertex-disjoint A-B paths.
+
+    With fan=True the source vertices carry unbounded capacity, so the result
+    may share source endpoints (internally vertex-disjoint fan).
+    """
+    S, T = ("#S",), ("#T",)
+    orig, cap = _vertex_flow(G, A, B, fan)
+    # flow decomposition: follow arcs that carry flow from S
     flow = {}
     for x, outs in cap.items():
         for y, c in outs.items():
-            orig = _orig_cap(x, y, Aset, Bset, fan)
-            if orig > c:
-                flow.setdefault(x, []).append((y, orig - c))
+            if orig[x][y] > c:
+                flow.setdefault(x, []).append((y, orig[x][y] - c))
     paths = []
     while flow.get(S):
         path = []
@@ -350,48 +373,8 @@ def max_vertex_disjoint_paths(G: Graph, A: Iterable, B: Iterable,
 
 def min_vertex_cut(G: Graph, A: Iterable, B: Iterable) -> FrozenSet:
     """A minimum vertex set meeting every A-B path (A∩B is always included)."""
-    A = sorted(set(A), key=vkey)
-    B = sorted(set(B), key=vkey)
-    for v in A + B:
-        if v not in G:
-            raise InputError("unknown vertex", witness=repr(v))
-    if not A or not B:
-        return frozenset()
-    S, T = ("#S",), ("#T",)
-    cap: Dict[Tuple, Dict] = {}
-
-    def add_arc(u, v, c):
-        cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for v in G.vertices:
-        add_arc((v, 0), (v, 1), 1)
-    for u, v in G.edges:
-        add_arc((u, 1), (v, 0), _BIG)
-        add_arc((v, 1), (u, 0), _BIG)
-    for a in A:
-        add_arc(S, (a, 0), _BIG)
-    for b in B:
-        add_arc((b, 1), T, _BIG)
-
-    while True:
-        parent = {S: None}
-        queue = deque([S])
-        while queue and T not in parent:
-            x = queue.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if T not in parent:
-            break
-        y = T
-        while parent[y] is not None:
-            x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
-
+    S = ("#S",)
+    _orig, cap = _vertex_flow(G, A, B)
     reach = {S}
     queue = deque([S])
     while queue:
@@ -402,19 +385,6 @@ def min_vertex_cut(G: Graph, A: Iterable, B: Iterable) -> FrozenSet:
                 queue.append(y)
     return frozenset(v for v in G.vertices
                      if (v, 0) in reach and (v, 1) not in reach)
-
-
-def _orig_cap(x, y, Aset, Bset, fan):
-    if x == ("#S",):
-        return _BIG if fan else 1
-    if y == ("#T",):
-        return 1
-    if isinstance(x, tuple) and isinstance(y, tuple) and len(x) == 2 and len(y) == 2:
-        if x[0] == y[0] and x[1] == 0 and y[1] == 1:
-            return _BIG if (fan and x[0] in Aset) else 1
-        if x[1] == 1 and y[1] == 0:
-            return 1
-    return 0
 
 
 # -- tree decompositions ---------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .flatness import FlatnessPair, influence
 from .tilt import TiltResult, compute_tilt
 from .wall import Wall, enumerate_subwalls
@@ -98,4 +98,5 @@ def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
             return res
     if allow_short:
         return None
-    raise InputError("no homogeneous subwall found despite admissible height")
+    raise InternalError(
+        "no homogeneous subwall found despite admissible height")

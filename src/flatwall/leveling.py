@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .errors import CapacityError, InputError, InternalError
 from .flatness import FlatnessPair, flaps, is_regular, short_edges
-from .graph import Graph, norm_edge, vkey
+from .graph import Graph, cyclic_equal, norm_edge, vkey
 from .painting import outer_face
 from .wall import Wall
 
@@ -182,20 +182,6 @@ def _leveling_boundary_walk(F: FlatnessPair) -> Optional[Tuple]:
     return tuple(out)
 
 
-def _cyclic_eq(a, b) -> bool:
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    dd = b + b
-    for c in (a, tuple(reversed(a))):
-        for i, x in enumerate(b):
-            if x == c[0] and dd[i:i + len(c)] == c:
-                return True
-    return False
-
-
 def _reconstructs(rep: Representation, Wb: Graph) -> bool:
     edges = []
     for path in rep.tau.values():
@@ -226,7 +212,7 @@ def _build(F: FlatnessPair, label: Dict[FrozenSet, object],
     walk = _leveling_boundary_walk(F)
     if walk is None or len(set(walk)) != len(walk):
         return None
-    if not _cyclic_eq(walk, RW.perimeter):
+    if not cyclic_equal(walk, RW.perimeter):
         return None
     return rep
 

@@ -24,8 +24,8 @@ from .flatness import (FlatnessPair, influence_union, is_regular,
 from .graph import (Graph, TreeDecomposition, exact_treewidth, minor_model,
                     norm_edge, vkey)
 from .tilt import compute_tilt, regularize
-from .wall import (Wall, _suppressed, check_height, elementary_wall, is_tilt,
-                   subwall, temp_edges, temp_vertices)
+from .wall import (Wall, check_height, is_tilt, recognize_wall, subwall,
+                   temp_edges, temp_vertices)
 
 
 # -- parameter arithmetic --------------------------------------------------
@@ -145,156 +145,6 @@ def _prune_leaves(G: Graph) -> Graph:
         H = H.remove_vertices(drop)
 
 
-def _recognize_wall(G: Graph, r: int) -> Optional[Wall]:
-    """Match a pruned graph that is exactly a subdivided wall.
-
-    Propagates an anchored correspondence between the suppressed cubic
-    skeletons; the brick cycles close within a few steps, so wrong anchors
-    die fast even though the skeleton is locally homogeneous.
-    """
-    core = _prune_leaves(G)
-    if core.n == 0:
-        return None
-    if any(core.degree(v) not in (2, 3) for v in core.vertex_set):
-        return None
-    T = elementary_wall(r)
-    tb, tarcs = _suppressed(T.graph)
-    hb, harcs = _suppressed(core)
-    if len(hb) != len(tb) or len(harcs) != len(tarcs):
-        return None
-    if sum(len(a) - 1 for a in harcs) != core.m:
-        return None
-    if not tb:
-        return None
-
-    def arcs_at(branch, arcs):
-        out = {b: [] for b in branch}
-        for a in arcs:
-            out[a[0]].append(a)
-            if a[-1] != a[0]:
-                out[a[-1]].append(a)
-        return out
-
-    t_at = arcs_at(tb, tarcs)
-    h_at = arcs_at(hb, harcs)
-
-    # template vertices in an order where each is arc-adjacent to a previous
-    order = [tb[0]]
-    placed = {tb[0]}
-    frontier = [tb[0]]
-    while frontier:
-        v = frontier.pop(0)
-        for a in t_at[v]:
-            w = a[-1] if a[0] == v else a[0]
-            if w not in placed:
-                placed.add(w)
-                order.append(w)
-                frontier.append(w)
-    if len(order) != len(tb):
-        return None
-
-    import sys
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * len(tb) + 1000))
-
-    mapping: Dict = {}
-    arc_map: Dict = {}
-    used_h = set()
-    used_arcs = set()
-    budget = [400000]
-
-    def inner(a) -> int:
-        return len(a) - 2
-
-    def pending_arcs(u):
-        out = []
-        for a in t_at[u]:
-            w = a[-1] if a[0] == u else a[0]
-            if w in mapping:
-                out.append((a, w))
-        return out
-
-    def host_options(u, h, ta, w):
-        hw = mapping[w]
-        opts = []
-        for ha in h_at[h]:
-            if id(ha) in used_arcs:
-                continue
-            ends = {ha[0], ha[-1]}
-            if ends == {h, hw} and inner(ha) >= inner(ta):
-                opts.append(ha)
-        return opts
-
-    def place(i: int) -> bool:
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise CapacityError("wall recognition budget exhausted")
-        if i == len(order):
-            return len(arc_map) == len(tarcs)
-        u = order[i]
-        if i == 0:
-            cands = hb
-        else:
-            ta0, w0 = pending_arcs(u)[0]
-            hw = mapping[w0]
-            cands = []
-            for ha in h_at[hw]:
-                if id(ha) in used_arcs or inner(ha) < inner(ta0):
-                    continue
-                other = ha[-1] if ha[0] == hw else ha[0]
-                if other not in used_h:
-                    cands.append(other)
-            cands = sorted(set(cands), key=vkey)
-        for h in cands:
-            if h in used_h:
-                continue
-            need = pending_arcs(u)
-            per_arc = [host_options(u, h, ta, w) for ta, w in need]
-            if any(not opts for opts in per_arc):
-                continue
-            for combo in itertools.product(*per_arc):
-                if len({id(ha) for ha in combo}) != len(combo):
-                    continue
-                mapping[u] = h
-                used_h.add(h)
-                for (ta, _w), ha in zip(need, combo):
-                    arc_map[id(ta)] = ha
-                    used_arcs.add(id(ha))
-                if place(i + 1):
-                    return True
-                for (ta, _w), ha in zip(need, combo):
-                    del arc_map[id(ta)]
-                    used_arcs.discard(id(ha))
-                del mapping[u]
-                used_h.discard(h)
-        return False
-
-    if not place(0):
-        return None
-
-    tcoord = {T.branch_coords[c]: c for c in T.branch_coords}
-    branch_coords: Dict = {}
-    seg_paths: Dict = {}
-    for v, h in mapping.items():
-        branch_coords[tcoord[v]] = h
-    for ta in tarcs:
-        ha = arc_map[id(ta)]
-        hp = list(ha)
-        if hp[0] != mapping[ta[0]]:
-            hp.reverse()
-        coords = [tcoord[x] for x in ta]
-        k = len(coords) - 1
-        pos = [0] + list(range(1, k)) + [len(hp) - 1]
-        for j in range(1, k):
-            branch_coords[coords[j]] = hp[j]
-        for j in range(k):
-            key = tuple(sorted((coords[j], coords[j + 1])))
-            seg_paths[key] = tuple(hp[pos[j]:pos[j + 1] + 1])
-    W = Wall(r, branch_coords, seg_paths)
-    if W.validate():
-        return None
-    return W
-
-
 def _embed_wall_small(G: Graph, r: int, budget: int = 60000) -> Optional[Wall]:
     """Backtracking subdivision embedding for graphs beyond clean walls."""
     coords = temp_vertices(r)
@@ -401,7 +251,7 @@ def find_wall(G: Graph, r: int, t: int,
         raise InputError("t must be positive", witness=t)
     notes: List[str] = []
 
-    W = _recognize_wall(G, r)
+    W = recognize_wall(_prune_leaves(G), r)
     if W is None and G.n <= p.limits.find_wall:
         W = _embed_wall_small(G, r)
         if W is None:
@@ -935,7 +785,9 @@ def validate_driver_outcome(G: Graph, r: int, t: int, out: DriverOutcome,
     elif out.kind == "flat-wall":
         if len(out.apex) > p.f_hierarchical(t):
             problems.append("apex set over the bound")
-        GA = G.remove_vertices(out.apex) if out.apex else (out.graph or G)
+        GA = G.remove_vertices(out.apex) if out.apex else G
+        if out.graph is not None and out.graph != GA:
+            problems.append("outcome graph is not G minus the apex set")
         problems.extend(validate_flatness(GA, out.pair))
         if not is_regular(out.pair):
             problems.append("pair is not regular")

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
-from .graph import (Graph, articulation_points, max_vertex_disjoint_paths,
-                    min_vertex_cut, vkey)
+from .graph import (Graph, articulation_points, cyclic_equal,
+                    max_vertex_disjoint_paths, min_vertex_cut, vkey)
 from .painting import Painting, validate_painting
 
 
@@ -50,19 +50,6 @@ class Rendition:
             for c in self.sigma)
         return (tuple(cells), tuple(sorted(self.pi.items(), key=str)),
                 self.omega)
-
-
-def _cyclic_equal(a: Sequence, b: Sequence) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    la, lb = list(a), list(b)
-    for rev in (lb, list(reversed(lb))):
-        for s in range(len(rev)):
-            if la == rev[s:] + rev[:s]:
-                return True
-    return False
 
 
 def validate_rendition(G: Graph, R: Rendition) -> List[str]:
@@ -117,7 +104,7 @@ def validate_rendition(G: Graph, R: Rendition) -> List[str]:
     outer_images = [R.pi[x] for x in P.outer]
     if set(outer_images) != set(R.omega):
         problems.append("(c.5) outer nodes do not map onto the boundary cycle")
-    elif not _cyclic_equal(outer_images, list(R.omega)):
+    elif not cyclic_equal(outer_images, list(R.omega)):
         problems.append("(c.5) boundary cyclic order mismatch")
     return problems
 

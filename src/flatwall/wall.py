@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT_LIMITS
 from .errors import CapacityError, InputError, InternalError
-from .graph import Graph, vkey
+from .graph import Graph, norm_edge, vkey
 
 Coord = Tuple[int, int]
 
@@ -207,7 +207,7 @@ class Wall:
             if len(set(p)) != len(p):
                 problems.append(f"segment {a}-{b} revisits a vertex")
             for e in zip(p, p[1:]):
-                key = (e[0], e[1]) if vkey(e[0]) < vkey(e[1]) else (e[1], e[0])
+                key = norm_edge(*e)
                 if key in seen_edges:
                     problems.append(f"edge {key} used by two segments")
                 seen_edges.add(key)
@@ -265,9 +265,9 @@ def subdivide_wall(W: Wall, plan: Dict) -> Wall:
     wanted = {}
     for e, cnt in plan.items():
         u, v = e
-        key = (u, v) if vkey(u) < vkey(v) else (v, u)
         if not W.graph.has_edge(u, v):
             raise InputError("plan edge not in wall", witness=[u, v])
+        key = norm_edge(u, v)
         if cnt < 0:
             raise InputError("negative subdivision count", witness=cnt)
         wanted[key] = cnt
@@ -276,7 +276,7 @@ def subdivide_wall(W: Wall, plan: Dict) -> Wall:
     for ce, p in W.seg_paths.items():
         newp = [p[0]]
         for u, v in zip(p, p[1:]):
-            key = (u, v) if vkey(u) < vkey(v) else (v, u)
+            key = norm_edge(u, v)
             for _ in range(wanted.get(key, 0)):
                 newp.append(next(names))
             newp.append(v)
@@ -503,7 +503,7 @@ def interior(W: Wall) -> Graph:
     per_edges = set()
     cyc = list(per) + [per[0]]
     for u, v in zip(cyc, cyc[1:]):
-        per_edges.add((u, v) if vkey(u) < vkey(v) else (v, u))
+        per_edges.add(norm_edge(u, v))
     H = G.remove_edges(per_edges)
     drop = {v for v in per_set if G.degree(v) == 2}
     return H.remove_vertices(drop)
@@ -513,7 +513,7 @@ def is_tilt(W1: Wall, W2: Wall) -> bool:
     return interior(W1) == interior(W2)
 
 
-# -- pegs and corners ------------------------------------------------------
+# -- skeleton embeddings: recognition, pegs and corners --------------------
 
 
 def _suppressed(G: Graph):
@@ -524,7 +524,7 @@ def _suppressed(G: Graph):
     seen_edges = set()
     for b in branch:
         for nb in G.neighbors(b):
-            e0 = (b, nb) if vkey(b) < vkey(nb) else (nb, b)
+            e0 = norm_edge(b, nb)
             if e0 in seen_edges:
                 continue
             path = [b, nb]
@@ -535,7 +535,7 @@ def _suppressed(G: Graph):
                 if not nxt:
                     break
                 path.append(nxt[0])
-                e = (v, nxt[0]) if vkey(v) < vkey(nxt[0]) else (nxt[0], v)
+                e = norm_edge(v, nxt[0])
                 seen_edges.add(e)
             if path[-1] in bset:
                 arcs.append(tuple(path))
@@ -550,53 +550,170 @@ def _suppressed(G: Graph):
     return branch, out
 
 
-def _multigraph_isos(b1, arcs1, b2, arcs2):
-    """All isomorphisms of suppressed multigraphs, as (vertex map, arc map)."""
-    if len(b1) != len(b2) or len(arcs1) != len(arcs2):
+def _template_skeleton(r: int):
+    """The elementary r-wall's skeleton, and the coordinate of each vertex."""
+    T = elementary_wall(r)
+    tb, tarcs = _suppressed(T.graph)
+    return tb, tarcs, {v: c for c, v in T.branch_coords.items()}
+
+
+def _arcs_at(branch, arcs) -> Dict:
+    out = {b: [] for b in branch}
+    for a in arcs:
+        out[a[0]].append(a)
+        if a[-1] != a[0]:
+            out[a[-1]].append(a)
+    return out
+
+
+def _other(arc, v):
+    return arc[-1] if arc[0] == v else arc[0]
+
+
+def _on_triangle(at: Dict, v) -> bool:
+    """Whether branch vertex v lies on a cycle of three arcs."""
+    ns = {_other(a, v) for a in at[v]} - {v}
+    return any(x in ns and x != w
+               for w in ns for x in (_other(b, w) for b in at[w]))
+
+
+def _skeleton_embeddings(tb, tarcs, hb, harcs,
+                         budget: Optional[int] = None):
+    """Every embedding of a template skeleton into a host skeleton.
+
+    Skeletons are (branch vertices, arcs) as `_suppressed` returns them. An
+    embedding maps the branch vertices bijectively and each template arc to
+    its own host arc between the images of its ends, with at least as many
+    inner vertices. Yields (vertex map, arc map); the arc map orients each
+    host arc like its template arc.
+
+    The search starts from a template vertex on a 3-arc cycle (every
+    elementary wall has one at its corners), tried only on host vertices on
+    such cycles (an embedding is a skeleton isomorphism), and places the
+    other vertices in BFS order. So only a few host vertices are tried as
+    the start, but candidates are still tried in order of vertex names.
+    `budget` caps the placements tried.
+    """
+    if len(tb) != len(hb) or len(tarcs) != len(harcs) or not tb:
         return
-    adj1: Dict = {}
-    for a in arcs1:
-        adj1.setdefault(a[0], []).append(a)
-        if a[-1] != a[0]:
-            adj1.setdefault(a[-1], []).append(a)
-    adj2: Dict = {}
-    for a in arcs2:
-        adj2.setdefault(a[0], []).append(a)
-        if a[-1] != a[0]:
-            adj2.setdefault(a[-1], []).append(a)
+    t_at = _arcs_at(tb, tarcs)
+    h_at = _arcs_at(hb, harcs)
+    between: Dict = {}
+    for ha in harcs:
+        between.setdefault((ha[0], ha[-1]), []).append(ha)
+        if ha[-1] != ha[0]:
+            between.setdefault((ha[-1], ha[0]), []).append(ha)
+    anchor = next(v for v in tb if _on_triangle(t_at, v))
+    starts = (h for h in hb if _on_triangle(h_at, h))
+    order = [anchor]
+    seen = {anchor}
+    for v in order:
+        for a in t_at[v]:
+            w = _other(a, v)
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    if len(order) != len(tb):
+        return
+    pos = {v: i for i, v in enumerate(order)}
+    # the arcs from each template vertex back to vertices placed before it
+    back = [[(a, _other(a, v)) for a in t_at[v] if pos[_other(a, v)] < i]
+            for i, v in enumerate(order)]
 
-    def pair_count(adj, u, v):
-        return sum(1 for a in adj.get(u, []) if (a[0], a[-1]) in ((u, v), (v, u)))
+    vmap: Dict = {}
+    used_h = set()
+    used_arcs = set()
+    chosen: List = []
 
-    n = len(b1)
-    mapping: Dict = {}
-    used = set()
-
-    def rec(i):
-        if i == n:
-            # arcs must match by multiplicity; build one arc matching
-            yield dict(mapping)
-            return
-        v = b1[i]
-        for w in b2:
-            if w in used:
+    def options(i):
+        need = back[i]
+        if need:
+            ta0, w0 = need[0]
+            hw = vmap[w0]
+            cands = sorted({_other(ha, hw) for ha in h_at[hw]
+                            if id(ha) not in used_arcs and len(ha) >= len(ta0)}
+                           - used_h, key=vkey)
+        else:
+            cands = starts
+        deg = len(t_at[order[i]])
+        for h in cands:
+            if h in used_h or len(h_at[h]) != deg:
                 continue
-            if len(adj1.get(v, [])) != len(adj2.get(w, [])):
-                continue
-            ok = True
-            for u in mapping:
-                if pair_count(adj1, v, u) != pair_count(adj2, mapping[u], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            yield from rec(i + 1)
-            del mapping[v]
-            used.discard(w)
+            per_arc = [[ha for ha in between.get((h, vmap[w]), ())
+                        if id(ha) not in used_arcs and len(ha) >= len(ta)]
+                       for ta, w in need]
+            for combo in itertools.product(*per_arc):
+                if len({id(ha) for ha in combo}) == len(combo):
+                    yield h, combo
 
-    yield from rec(0)
+    def undo():
+        u, h, combo = chosen.pop()
+        del vmap[u]
+        used_h.discard(h)
+        for ha in combo:
+            used_arcs.discard(id(ha))
+
+    frames = [options(0)]
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            frames.pop()
+            if chosen:
+                undo()
+            continue
+        if budget is not None:
+            budget -= 1
+            if budget <= 0:
+                raise CapacityError("wall recognition budget exhausted")
+        h, combo = step
+        u = order[len(chosen)]
+        vmap[u] = h
+        used_h.add(h)
+        used_arcs.update(id(ha) for ha in combo)
+        chosen.append((u, h, combo))
+        if len(chosen) < len(order):
+            frames.append(options(len(chosen)))
+            continue
+        amap = {}
+        for (_u, _h, combo), need in zip(chosen, back):
+            for (ta, _w), ha in zip(need, combo):
+                amap[ta] = ha if ha[0] == vmap[ta[0]] else ha[::-1]
+        yield dict(vmap), amap
+        undo()
+
+
+def recognize_wall(G: Graph, r: int) -> Optional[Wall]:
+    """G as a subdivided elementary r-wall, or None if it is not one.
+
+    G must be the subdivision itself, with no other vertices or edges. The
+    result is the first skeleton embedding found; template vertices inside
+    an arc take the first inner vertices of its host arc.
+    """
+    if G.n == 0 or any(G.degree(v) not in (2, 3) for v in G.vertex_set):
+        return None
+    tb, tarcs, tcoord = _template_skeleton(r)
+    hb, harcs = _suppressed(G)
+    if sum(len(a) - 1 for a in harcs) != G.m:
+        return None
+    emb = next(_skeleton_embeddings(tb, tarcs, hb, harcs, budget=400000),
+               None)
+    if emb is None:
+        return None
+    vmap, amap = emb
+    branch_coords = {tcoord[v]: h for v, h in vmap.items()}
+    seg_paths: Dict = {}
+    for ta, hp in amap.items():
+        coords = [tcoord[x] for x in ta]
+        k = len(coords) - 1
+        cut = list(range(k)) + [len(hp) - 1]
+        for j in range(1, k):
+            branch_coords[coords[j]] = hp[j]
+        for j in range(k):
+            seg_paths[(coords[j], coords[j + 1])] = hp[cut[j]:cut[j + 1] + 1]
+    W = Wall(r, branch_coords, seg_paths)
+    if W.validate():
+        return None
+    return W
 
 
 def choices_of_pegs_corners(W: Wall, limit: Optional[int] = None):
@@ -606,84 +723,27 @@ def choices_of_pegs_corners(W: Wall, limit: Optional[int] = None):
         raise CapacityError("pegs/corners enumeration over desk limit",
                             witness=W.graph.n)
     r = W.height
-    T = elementary_wall(r)
-    tb, tarcs = _suppressed(T.graph)
+    tb, tarcs, tcoord = _template_skeleton(r)
     wb, warcs = _suppressed(W.graph)
-    deg = temp_degree(r)
-    per_coords = temp_perimeter(r)
-    peg_coords = set(temp_pegs(r))
-    corner_coords = set(temp_corners(r))
-    tcoord = {T.branch_coords[c]: c for c in T.branch_coords}
+    peg_coords = temp_pegs(r)
+    corner_coords = temp_corners(r)
 
     emitted = set()
-    for vmap in _multigraph_isos(tb, tarcs, wb, warcs):
-        # match arcs: for each template arc find candidate host arcs
-        choice = _match_arcs(tarcs, warcs, vmap)
-        if choice is None:
-            continue
-        # per template arc, distribute its degree-2 template vertices over
-        # the host arc's internal vertices, order preserving
+    for _vmap, amap in _skeleton_embeddings(tb, tarcs, wb, warcs):
+        # per template arc, spread its degree-2 template vertices over the
+        # host arc's inner vertices, order preserving
         per_arc_options = []
-        for tarc, harc in choice:
+        for tarc in tarcs:
             t_int = [tcoord[v] for v in tarc[1:-1]]
-            # orient host arc to match template arc ends
-            if vmap[tarc[0]] == harc[0]:
-                h_int = list(harc[1:-1])
-            else:
-                h_int = list(reversed(harc[1:-1]))
-            opts = []
-            for pos in itertools.combinations(range(len(h_int)), len(t_int)):
-                opts.append(list(zip(t_int, (h_int[p] for p in pos))))
-            if not opts:
-                break
-            per_arc_options.append(opts)
-        else:
-            for combo in itertools.product(*per_arc_options):
-                placed = dict(kv for part in combo for kv in part)
-                pegs = set()
-                corners = set()
-                for c in peg_coords:
-                    img = placed.get(c)
-                    if img is None:
-                        img = vmap.get(T.branch_coords[c])
-                    if img is None:
-                        break
-                    pegs.add(img)
-                    if c in corner_coords:
-                        corners.add(img)
-                else:
-                    key = (frozenset(pegs), frozenset(corners))
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield PegsCorners(frozenset(pegs), frozenset(corners))
-
-
-def _match_arcs(tarcs, harcs, vmap):
-    """Greedy arc matching with backtracking; arcs need enough internal room."""
-    remaining = list(harcs)
-
-    def fits(tarc, harc):
-        ends_t = {vmap[tarc[0]], vmap[tarc[-1]]}
-        if ends_t != {harc[0], harc[-1]}:
-            return False
-        return len(harc) >= len(tarc)  # room for the template's inner vertices
-
-    out = []
-
-    def rec(i):
-        if i == len(tarcs):
-            return True
-        tarc = tarcs[i]
-        for j, harc in enumerate(remaining):
-            if harc is not None and fits(tarc, harc):
-                remaining[j] = None
-                out.append((tarc, harc))
-                if rec(i + 1):
-                    return True
-                out.pop()
-                remaining[j] = harc
-        return False
-
-    if rec(0):
-        return out
-    return None
+            h_int = amap[tarc][1:-1]
+            per_arc_options.append([
+                [(c, h_int[p]) for c, p in zip(t_int, picks)]
+                for picks in itertools.combinations(range(len(h_int)),
+                                                    len(t_int))])
+        for combo in itertools.product(*per_arc_options):
+            placed = dict(kv for part in combo for kv in part)
+            key = (frozenset(placed[c] for c in peg_coords),
+                   frozenset(placed[c] for c in corner_coords))
+            if key not in emitted:
+                emitted.add(key)
+                yield PegsCorners(*key)

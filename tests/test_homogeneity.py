@@ -1,6 +1,7 @@
 import pytest
 
-from flatwall.errors import InputError
+from flatwall import homogeneity
+from flatwall.errors import InputError, InternalError
 from flatwall.flatness import generate_fixture, influence
 from flatwall.homogeneity import (FlapColoring, example_coloring,
                                   find_homogeneous, h, is_homogeneous,
@@ -100,6 +101,15 @@ def test_find_homogeneous_rejects_short_walls():
     with pytest.raises(InputError):
         find_homogeneous(G, F, zeta, 3)
     assert find_homogeneous(G, F, zeta, 3, allow_short=True) is not None
+
+
+def test_failed_search_at_admissible_height_is_internal(monkeypatch):
+    G, F = generate_fixture(0, 3)
+    zeta = constant_coloring(F)
+    assert F.height >= h(3, zeta.w)
+    monkeypatch.setattr(homogeneity, "is_homogeneous", lambda *a, **k: False)
+    with pytest.raises(InternalError):
+        find_homogeneous(G, F, zeta, 3)
 
 
 def test_subwall_count_height7():

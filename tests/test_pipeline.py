@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -105,6 +107,31 @@ def test_find_wall_capacity_error_on_large_cycle():
     G = Graph(range(100), [(i, (i + 1) % 100) for i in range(100)])
     with pytest.raises(CapacityError):
         find_wall(G, 3, 3, UP)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_find_wall_recognises_renamed_fixture(s):
+    G, _F = generate_fixture(2, 33)
+    old = list(G.vertices)
+    new = list(old)
+    random.Random(s).shuffle(new)
+    name = dict(zip(old, new))
+    G2 = Graph(new, [(name[u], name[v]) for u, v in G.edges])
+    res = find_wall(G2, 33, 3, UP)
+    assert res.kind == "wall"
+    assert res.wall.validate() == []
+    assert res.wall.graph.edge_set <= G2.edge_set
+
+
+def test_find_wall_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        G, _F = generate_fixture(0, 33)
+        assert find_wall(G, 33, 3, UP).kind == "wall"
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_find_wall_small_clique_shortcuts():
@@ -288,6 +315,21 @@ def test_driver_flat_outcome(big):
     assert "height drop 2 verified" in joined
     assert len(out.trace) == 1
     assert oracle.calls == [(G.n, 33)]
+
+
+def test_driver_outcome_is_validated_against_the_callers_graph(big):
+    G, F = big
+    out = flat_wall_driver(G, 3, 2, ScriptedOracle([flat_answer(F)]), UP,
+                           ScriptedTreewidthDecider(["high", "default"], UP))
+    x = min(out.pair.X - out.pair.Y, key=str)
+    y = min(out.pair.Y - out.pair.X, key=str)
+    G2 = G.add_edges([(x, y)])
+    bad = validate_driver_outcome(G2, 3, 2, out, UP)
+    assert "outcome graph is not G minus the apex set" in bad
+    assert "(X, Y) is not a separation of G" in bad
+    out.graph = None
+    assert "(X, Y) is not a separation of G" in validate_driver_outcome(
+        G2, 3, 2, out, UP)
 
 
 def test_compass_search_avoids_the_given_vertices(big):

@@ -165,15 +165,17 @@ def test_interior_and_tilts():
     assert not is_tilt(W, S2)
 
 
-def test_pegs_corners_elementary():
-    W = elementary_wall(3)
+@pytest.mark.parametrize("r", [3, 7])
+def test_pegs_corners_elementary(r):
+    W = elementary_wall(r)
     choices = list(choices_of_pegs_corners(W))
-    # the automorphism group (order 4, checked against networkx) yields two
-    # corner sets over the same peg set
-    assert len(choices) == 2
-    std_corners = frozenset(f"{x},{y}" for x, y in temp_corners(3))
-    std_pegs = frozenset(f"{x},{y}" for x, y in temp_pegs(3))
-    assert std_corners in {pc.corners for pc in choices}
+    if r == 3:
+        # the automorphism group (order 4, checked against networkx) yields
+        # two corner sets over the same peg set
+        assert len(choices) == 2
+    std_corners = frozenset(f"{x},{y}" for x, y in temp_corners(r))
+    std_pegs = frozenset(f"{x},{y}" for x, y in temp_pegs(r))
+    assert (std_pegs, std_corners) in {(pc.pegs, pc.corners) for pc in choices}
     for pc in choices:
         assert pc.pegs == std_pegs
         assert len(pc.corners) == 4
