@@ -17,7 +17,6 @@ import click
 from .config import Params, _poly
 from .errors import CapacityError, FlatwallError, UsageError
 from .flatness import validate_flatness, is_regular
-from .graph import Graph
 from .homogeneity import FlapColoring, find_homogeneous, is_homogeneous
 from .leveling import leveling_graph, representation
 from .pipeline import (FlatWallOracle, ManualOracle, OracleAnswer,
@@ -69,18 +68,25 @@ def load_params(path) -> Params:
     p = Params()
     if path:
         d = _load_json(path)
+        if not isinstance(d, dict):
+            raise SchemaError("params file must hold an object",
+                              witness=str(path))
         kwargs = {}
-        for name in ("f_questionnaires", "f_hierarchical",
-                     "f_confrontation", "f_entstandenen"):
-            if name in d:
-                spec = d[name]
-                if not isinstance(spec, dict):
-                    raise SchemaError("parameter function must be an object "
-                                      "with coeff and power", witness=name)
-                kwargs[name] = _poly(int(spec.get("coeff", 1)),
-                                     int(spec.get("power", 1)))
-        if "edge_density_coeff" in d:
-            kwargs["edge_density_coeff"] = int(d["edge_density_coeff"])
+        try:
+            for name in ("f_questionnaires", "f_hierarchical",
+                         "f_confrontation", "f_entstandenen"):
+                if name in d:
+                    spec = d[name]
+                    if not isinstance(spec, dict):
+                        raise SchemaError("parameter function must be an "
+                                          "object with coeff and power",
+                                          witness=name)
+                    kwargs[name] = _poly(int(spec.get("coeff", 1)),
+                                         int(spec.get("power", 1)))
+            if "edge_density_coeff" in d:
+                kwargs["edge_density_coeff"] = int(d["edge_density_coeff"])
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError("parameters must be integers", witness=str(e))
         p = Params(**kwargs)
     return replace(p, limits=p.limits.override_from_env())
 

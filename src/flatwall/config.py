@@ -8,21 +8,27 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from .errors import UsageError
+
 
 @dataclass(frozen=True)
 class Limits:
     minor_model: int = 24
     treewidth: int = 20
     pegs_enum: int = 400          # wall size for strict pegs/corners enumeration
-    well_aligned: int = 600       # leveling size for exhaustive embedding search
     find_wall: int = 64           # |V(G)| for the wall-finding base case
 
     def override_from_env(self) -> "Limits":
         out = self
-        for name in ("minor_model", "treewidth", "pegs_enum", "well_aligned", "find_wall"):
-            raw = os.environ.get("FLATWALL_LIMIT_" + name.upper())
+        for name in ("minor_model", "treewidth", "pegs_enum", "find_wall"):
+            var = "FLATWALL_LIMIT_" + name.upper()
+            raw = os.environ.get(var)
             if raw is not None:
-                out = replace(out, **{name: int(raw)})
+                try:
+                    out = replace(out, **{name: int(raw)})
+                except ValueError:
+                    raise UsageError("limit must be an integer",
+                                     witness={var: raw})
         return out
 
 

@@ -6,7 +6,7 @@ operation is deterministic and reproducible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapacityError, InputError, NoPathError
 from .config import DEFAULT_LIMITS
@@ -121,13 +121,6 @@ class Graph:
         vs = set(vs) & self._vertices
         return Graph(vs, (e for e in self._edges if e[0] in vs and e[1] in vs))
 
-    def edge_subgraph(self, edges: Iterable) -> "Graph":
-        es = {norm_edge(*e) for e in edges}
-        missing = es - self._edges
-        if missing:
-            raise InputError("edge not in graph", witness=sorted(missing)[0])
-        return Graph((), es)
-
     def union(self, other: "Graph") -> "Graph":
         return Graph(self._vertices | other._vertices, self._edges | other._edges)
 
@@ -164,17 +157,6 @@ class Graph:
 
     def connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
-
-    def bfs_distances(self, source) -> Dict:
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return dist
 
     def shortest_path(self, x, y) -> Tuple:
         """Deterministic BFS path; ties broken by sorted adjacency order."""
@@ -494,29 +476,65 @@ def exact_treewidth(G: Graph, limit: Optional[int] = None) -> Tuple[int, TreeDec
     return width, _decomposition_from_order(G, order)
 
 
+def _eliminate(adj: Dict, v) -> Set:
+    """Remove v from adj after making its neighbours a clique; return them."""
+    nbrs = adj.pop(v)
+    for u in nbrs:
+        adj[u] |= nbrs
+        adj[u] -= {u, v}
+    return nbrs
+
+
 def _decomposition_from_order(G: Graph, order: List) -> TreeDecomposition:
     pos = {v: i for i, v in enumerate(order)}
-    # fill-in elimination on an adjacency copy
     adj = {v: set(G.neighbors(v)) for v in order}
-    bags = {}
-    parent_of = {}
+    bags, tree_edges, roots = {}, [], []
     for v in order:
-        higher = {u for u in adj[v] if pos[u] > pos[v]}
+        higher = _eliminate(adj, v)
         bags[v] = {v} | higher
         if higher:
-            parent_of[v] = min(higher, key=lambda u: pos[u])
-        for a in higher:
-            for b in higher:
-                if a != b:
-                    adj[a].add(b)
-        for u in adj[v]:
-            adj[u].discard(v)
-    tree_edges = [(v, p) for v, p in parent_of.items()]
-    # connect any remaining roots into one tree
-    roots = [v for v in order if v not in parent_of]
-    for a, b in zip(roots, roots[1:]):
-        tree_edges.append((a, b))
+            tree_edges.append((v, min(higher, key=pos.__getitem__)))
+        else:
+            roots.append(v)
+    # connect the roots into one tree
+    tree_edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(bags, tree_edges)
+
+
+def min_fill_decomposition(G: Graph) -> TreeDecomposition:
+    """Min-fill-in heuristic decomposition (Bodlaender and Koster 2010),
+    step for step as networkx 3.6's treewidth_min_fill_in on G.vertices.
+
+    Eliminates vertices until the rest is a clique, bag 0. Then each
+    eliminated vertex v, last eliminated first, gets the bag {v} | N(v),
+    attached to the first earlier bag that holds N(v), or to bag 0."""
+    adj = {v: set(G.neighbors(v)) for v in G.vertices}
+    eliminated = []
+    while adj:
+        # try vertices by current degree, ties in adj order, and take the
+        # first of least fill-in, counted from both ends of a missing edge
+        by_degree = sorted(adj, key=lambda v: len(adj[v]))
+        if len(adj[by_degree[0]]) == len(adj) - 1:
+            break
+        best, best_fill2 = None, float("inf")
+        for v in by_degree:
+            nbrs = adj[v]
+            fill2 = 0
+            for u in nbrs:
+                fill2 += len(nbrs - adj[u]) - 1
+                if fill2 >= best_fill2:
+                    break
+            if fill2 < best_fill2:
+                best, best_fill2 = v, fill2
+                if fill2 == 0:
+                    break
+        eliminated.append((best, _eliminate(adj, best)))
+    bags, tree_edges = [frozenset(adj)], []
+    for v, nbrs in reversed(eliminated):
+        old = next((i for i, b in enumerate(bags) if nbrs <= b), 0)
+        tree_edges.append((old, len(bags)))
+        bags.append(frozenset(nbrs | {v}))
+    return TreeDecomposition(dict(enumerate(bags)), tree_edges)
 
 
 # -- minor models ----------------------------------------------------------

@@ -12,7 +12,6 @@ the curve iff connected across edges that are not on the curve.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -61,9 +60,6 @@ class Painting:
 
     def boundary(self, cid) -> Tuple:
         return self.cells[cid]
-
-    def cells_at(self, node) -> Tuple:
-        return self.rotations.get(node, ())
 
     def rot(self) -> Dict[NV, Tuple[NV, ...]]:
         if self._rot is None:

@@ -21,8 +21,8 @@ from .config import Params
 from .errors import CapacityError, InputError, InternalError
 from .flatness import (FlatnessPair, influence_union, is_regular,
                        validate_flatness)
-from .graph import (Graph, TreeDecomposition, exact_treewidth, minor_model,
-                    norm_edge, vkey)
+from .graph import (Graph, TreeDecomposition, exact_treewidth,
+                    min_fill_decomposition, minor_model, norm_edge, vkey)
 from .tilt import compute_tilt, regularize
 from .wall import (Wall, check_height, is_tilt, recognize_wall, subwall,
                    temp_edges, temp_vertices)
@@ -329,28 +329,6 @@ def find_wall_with_decomposition(G: Graph, r: int, t: int,
 # -- treewidth deciders ----------------------------------------------------
 
 
-def _nx_min_fill_decomposition(G: Graph) -> Tuple[int, TreeDecomposition]:
-    import networkx as nx
-    from networkx.algorithms.approximation import treewidth_min_fill_in
-    gx = nx.Graph()
-    gx.add_nodes_from(G.vertices)
-    gx.add_edges_from(G.edges)
-    width, tree = treewidth_min_fill_in(gx)
-    bags = {}
-    index = {}
-    for i, node in enumerate(tree.nodes):
-        index[node] = i
-        bags[i] = frozenset(node)
-    edges = [(index[a], index[b]) for a, b in tree.edges]
-    if not bags:
-        bags = {0: frozenset(G.vertex_set)}
-    td = TreeDecomposition(bags, edges)
-    bad = td.validate(G)
-    if bad:
-        raise InternalError("heuristic decomposition invalid", witness=bad)
-    return td.width, td
-
-
 class TreewidthDecider:
     """Interface: decomposition of width <= 5z+4, or a high-treewidth call."""
 
@@ -359,7 +337,7 @@ class TreewidthDecider:
 
 
 class DefaultTreewidthDecider(TreewidthDecider):
-    """Exact within the desk limit, else a heuristic decomposition."""
+    """Min-fill decomposition if its width fits 5z+4, else exact treewidth."""
 
     def __init__(self, p: Optional[Params] = None):
         self.p = p or Params()
@@ -367,8 +345,11 @@ class DefaultTreewidthDecider(TreewidthDecider):
     def decide(self, G: Graph, z: int) -> Tuple[str, object]:
         # the heuristic answer is sound whenever it fits the width budget,
         # so the exact search only runs to certify a high-treewidth call
-        width, td = _nx_min_fill_decomposition(G)
-        if width <= 5 * z + 4:
+        td = min_fill_decomposition(G)
+        bad = td.validate(G)
+        if bad:
+            raise InternalError("heuristic decomposition invalid", witness=bad)
+        if td.width <= 5 * z + 4:
             return "decomposition", td
         if G.n <= self.p.limits.treewidth:
             tw, td = exact_treewidth(G, limit=self.p.limits.treewidth)
@@ -377,7 +358,7 @@ class DefaultTreewidthDecider(TreewidthDecider):
             return "high", f"exact treewidth {tw} > {z}"
         raise CapacityError(
             "treewidth undecided: heuristic width over the budget",
-            witness=[G.n, width, z])
+            witness=[G.n, td.width, z])
 
 
 class ScriptedTreewidthDecider(TreewidthDecider):

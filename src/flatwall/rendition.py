@@ -115,7 +115,6 @@ def validate_rendition(G: Graph, R: Rendition) -> List[str]:
 @dataclass
 class TightnessReport:
     violations: Dict[str, List] = field(default_factory=dict)
-    best_effort: List[str] = field(default_factory=list)
 
     def status(self, cond: str) -> List:
         return self.violations.get(cond, [])

@@ -8,10 +8,9 @@ value, including its type.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InputError
 from .flatness import FlatnessPair

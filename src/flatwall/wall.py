@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT_LIMITS
-from .errors import CapacityError, InputError, InternalError
+from .errors import CapacityError, InputError
 from .graph import Graph, norm_edge, vkey
 
 Coord = Tuple[int, int]
@@ -179,10 +179,6 @@ class Wall:
         per = self.perimeter_set
         return [b for b in self.bricks() if not (set(b) & per)]
 
-    def three_branch_vertices(self) -> FrozenSet:
-        G = self._graph
-        return frozenset(v for v in G.vertex_set if G.degree(v) == 3)
-
     def validate(self) -> List[str]:
         problems = []
         r = self.height
@@ -190,8 +186,8 @@ class Wall:
         if set(self.branch_coords) != tset:
             problems.append("branch coordinate set differs from template")
             return problems
-        imgs = list(self.branch_coords.values())
-        if len(set(imgs)) != len(imgs):
+        imgs = set(self.branch_coords.values())
+        if len(imgs) != len(self.branch_coords):
             problems.append("branch coordinate map is not injective")
         tedges = {_norm_cedge(*e) for e in temp_edges(r)}
         if set(self.seg_paths) != tedges:
@@ -212,7 +208,7 @@ class Wall:
                     problems.append(f"edge {key} used by two segments")
                 seen_edges.add(key)
             for v in p[1:-1]:
-                if v in seen_internal or v in set(imgs):
+                if v in seen_internal or v in imgs:
                     problems.append(f"subdivision vertex {v} reused")
                 seen_internal.add(v)
         for c, v in self.branch_coords.items():
@@ -350,7 +346,6 @@ def _try_template(hpaths: List[Tuple], vpaths: List[Tuple]) -> Optional[Wall]:
     for m in range(1, r + 1):
         run_b = inter[m][1]
         run_t = inter[m][r]
-        vp = vpaths[m - 1]
         a = max(run_b, key=lambda v: vpos[m - 1][v])   # go upward from here
         b = min(run_t, key=lambda v: vpos[m - 1][v])
         branch[(2 * m - 1, 1)] = a
@@ -450,7 +445,6 @@ def _orient(path: Tuple, first: Tuple, last: Tuple) -> Optional[Tuple]:
 def row_selection_valid(rows: Sequence[int]) -> bool:
     """Middle rows must keep a consistent parity pattern."""
     rows = list(rows)
-    rp = len(rows)
     mids = rows[1:-1]
     return any(
         all((j - (k + 2) - eps) % 2 == 0 for k, j in enumerate(mids))

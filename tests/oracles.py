@@ -20,6 +20,16 @@ def to_nx(G: Graph) -> nx.Graph:
     return g
 
 
+def min_fill_reference(G: Graph):
+    """networkx's min-fill-in decomposition as (bags by creation index,
+    set of (older, newer) tree edges)."""
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+    _width, tree = treewidth_min_fill_in(to_nx(G))
+    index = {bag: i for i, bag in enumerate(tree.nodes)}
+    edges = {tuple(sorted((index[a], index[b]))) for a, b in tree.edges}
+    return {i: bag for bag, i in index.items()}, edges
+
+
 def bfs_distance(G: Graph, x, y):
     g = to_nx(G)
     try:

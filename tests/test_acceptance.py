@@ -33,17 +33,6 @@ DEFECTS = ["with-untidy", "with-untidy2", "with-marginal", "with-external",
            "combined"]
 
 
-def gen(seed, height, profile="base"):
-    # some seeds offer no site for the requested defect; deterministic retry
-    from flatwall.errors import InternalError
-    for attempt in range(6):
-        try:
-            return generate_fixture(seed + 9973 * attempt, height, profile)
-        except InternalError:
-            continue
-    raise AssertionError(f"no usable fixture near seed {seed}")
-
-
 def _edge_multiset(R):
     out = []
     for cid in R.sigma:
@@ -99,7 +88,7 @@ def test_criterion_2_tilt_suite():
 def test_criterion_3_regularize_planted_defects():
     for profile in DEFECTS:
         for seed in range(20):
-            G, F = gen(seed, 5, profile)
+            G, F = generate_fixture(seed, 5, profile)
             out = regularize(G, F)
             assert is_regular(out)
             assert out.wall.height == F.wall.height
@@ -145,7 +134,7 @@ def test_criterion_6_leveling_representations():
     for seed in range(25):
         rng = random.Random(seed)
         profile = rng.choice(DEFECTS)
-        G, F = gen(seed, 5, profile)
+        G, F = generate_fixture(seed, 5, profile)
         out = regularize(G, F)
         rep = representation(out)
         assert rep.wall.validate() == []
@@ -229,7 +218,7 @@ def test_criterion_8_serialization():
     for height in (3, 5):
         for profile in profiles:
             for seed in range(3):
-                G, F = gen(seed, height, profile)
+                G, F = generate_fixture(seed, height, profile)
                 d = pair_to_json(G, F)
                 G2, F2 = pair_from_json(d)
                 assert G2 == G
@@ -237,6 +226,6 @@ def test_criterion_8_serialization():
                 assert F2.X == F.X and F2.Y == F.Y
                 assert F2.rendition.key() == F.rendition.key()
                 first = canonical_bytes(d)
-                G3, F3 = gen(seed, height, profile)
+                G3, F3 = generate_fixture(seed, height, profile)
                 second = canonical_bytes(pair_to_json(G3, F3))
                 assert first == second

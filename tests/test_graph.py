@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from flatwall.errors import CapacityError, InputError, NoPathError
 from flatwall.graph import (Graph, TreeDecomposition, contract_matching,
                             exact_treewidth, is_separation,
-                            max_vertex_disjoint_paths, min_vertex_cut,
-                            minor_model)
+                            max_vertex_disjoint_paths, min_fill_decomposition,
+                            min_vertex_cut, minor_model)
 
 import oracles
 
@@ -123,6 +123,32 @@ def test_treewidth_matches_elimination_oracle(seed):
     assert w == oracles.treewidth_by_elimination(G)
     assert dec.validate(G) == []
     assert dec.width == w
+
+
+def _assert_min_fill_matches_networkx(G):
+    td = min_fill_decomposition(G)
+    bags, edges = oracles.min_fill_reference(G)
+    assert td.bags == bags
+    assert set(td.tree_edges) == edges
+    assert td.validate(G) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_min_fill_matches_networkx(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 14)
+    ids = [rng.choice([i, f"v{i}"]) for i in range(n)]
+    p = rng.random()
+    G = Graph(ids, [(a, b) for a, b in itertools.combinations(ids, 2)
+                    if rng.random() < p])
+    _assert_min_fill_matches_networkx(G)
+
+
+def test_min_fill_matches_networkx_on_fixture():
+    from flatwall.flatness import generate_fixture
+    G, _F = generate_fixture(0, 7)
+    _assert_min_fill_matches_networkx(G)
 
 
 def test_minor_model_examples():

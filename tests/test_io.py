@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,6 +291,26 @@ def test_cli_find_wall_decomposition(tmp_path):
     assert b.payload["outcome"] == "tree-decomposition"
 
 
+def test_cli_find_wall_does_not_import_networkx(tmp_path):
+    G = Graph(range(10), [(i, i + 1) for i in range(9)])
+    gpath = tmp_path / "g.json"
+    write_bundle(gpath, CertificateBundle("graph", graph_to_json(G)))
+    script = ("import sys\n"
+              "from flatwall.cli import main\n"
+              "try:\n"
+              "    main(sys.argv[1:])\n"
+              "finally:\n"
+              "    print('networkx' in sys.modules, file=sys.stderr)\n")
+    src = str(Path(flatwall.serialize.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script, "find-wall",
+                          "--graph", str(gpath), "-r", "3", "-t", "2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["payload"]["outcome"] == "tree-decomposition"
+    assert res.stderr.strip() == "False"
+
+
 def test_cli_find_wall_minor_bare_graph(tmp_path):
     import itertools
     G = Graph(range(20), itertools.combinations(range(20), 2))
@@ -319,3 +342,25 @@ def test_params_file_and_env_override(tmp_path, monkeypatch):
     assert p.f_questionnaires(3) == 6
     assert p.edge_density_coeff == 7
     assert p.limits.minor_model == 5
+
+
+@pytest.mark.parametrize("params, env, code, error", [
+    (5, None, 1, "SchemaError"),
+    ({"edge_density_coeff": "x"}, None, 1, "SchemaError"),
+    ({"f_hierarchical": {"coeff": "two", "power": 1}}, None, 1, "SchemaError"),
+    ({}, "abc", 2, "UsageError"),
+])
+def test_bad_params_give_structured_errors(tmp_path, monkeypatch, params,
+                                           env, code, error):
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(canonical_bytes(graph_to_json(Graph(range(3),
+                                                          [(0, 1)]))))
+    ppath = tmp_path / "params.json"
+    ppath.write_text(json.dumps(params))
+    if env is not None:
+        monkeypatch.setenv("FLATWALL_LIMIT_TREEWIDTH", env)
+    res = runner.invoke(main, ["find-wall", "--graph", str(gpath), "-r", "3",
+                               "-t", "2", "--params", str(ppath)])
+    assert res.exit_code == code, res.output
+    assert not isinstance(res.exception, (TypeError, ValueError))
+    assert json.loads(res.stderr)["error"]["code"] == error
