@@ -4,6 +4,10 @@ Every subcommand reads canonical JSON bundles, writes canonical JSON
 bundles, and exits 0 on success, 1 on validation failure, 2 on usage
 errors, 3 when a desk-scale limit is hit, and 4 when a guaranteed
 property fails to hold.
+
+Each result is validated once, by the library call that produces it; a
+failed check exits 4. So `--verify` is accepted and ignored, except by the
+best-effort `tighten`, where it checks that the output is tight.
 """
 from __future__ import annotations
 
@@ -16,12 +20,11 @@ import click
 
 from .config import Params, _poly
 from .errors import CapacityError, FlatwallError, UsageError
-from .flatness import validate_flatness, is_regular
-from .homogeneity import FlapColoring, find_homogeneous, is_homogeneous
+from .flatness import validate_flatness
+from .homogeneity import FlapColoring, find_homogeneous
 from .leveling import leveling_graph, representation
 from .pipeline import (FlatWallOracle, ManualOracle, OracleAnswer,
-                       ScriptedOracle, flat_wall_driver,
-                       validate_driver_outcome)
+                       ScriptedOracle, flat_wall_driver)
 from .rendition import check_tightness, tighten
 from .serialize import (CertificateBundle, ParseError, SchemaError,
                         bundle_to_json, canonical_bytes, enc,
@@ -30,7 +33,7 @@ from .serialize import (CertificateBundle, ParseError, SchemaError,
                         rendition_from_json, rendition_to_json,
                         representation_to_json, _field)
 from .tilt import compute_tilt, regularize
-from .wall import is_tilt, subwall
+from .wall import subwall
 
 
 def guarded(f):
@@ -64,6 +67,13 @@ def _load_json(path):
                                   "column": e.colno})
 
 
+def _integer(value, name, what="parameters must be integers"):
+    """`value` if it is an integer and not a bool, else a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(what, witness={"field": name, "value": value})
+    return value
+
+
 def load_params(path) -> Params:
     p = Params()
     if path:
@@ -72,21 +82,19 @@ def load_params(path) -> Params:
             raise SchemaError("params file must hold an object",
                               witness=str(path))
         kwargs = {}
-        try:
-            for name in ("f_questionnaires", "f_hierarchical",
-                         "f_confrontation", "f_entstandenen"):
-                if name in d:
-                    spec = d[name]
-                    if not isinstance(spec, dict):
-                        raise SchemaError("parameter function must be an "
-                                          "object with coeff and power",
-                                          witness=name)
-                    kwargs[name] = _poly(int(spec.get("coeff", 1)),
-                                         int(spec.get("power", 1)))
-            if "edge_density_coeff" in d:
-                kwargs["edge_density_coeff"] = int(d["edge_density_coeff"])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError("parameters must be integers", witness=str(e))
+        for name in ("f_questionnaires", "f_hierarchical",
+                     "f_confrontation", "f_entstandenen"):
+            if name in d:
+                spec = d[name]
+                if not isinstance(spec, dict):
+                    raise SchemaError("parameter function must be an "
+                                      "object with coeff and power",
+                                      witness=name)
+                kwargs[name] = _poly(_integer(spec.get("coeff", 1), name),
+                                     _integer(spec.get("power", 1), name))
+        if "edge_density_coeff" in d:
+            kwargs["edge_density_coeff"] = _integer(d["edge_density_coeff"],
+                                                    "edge_density_coeff")
         p = Params(**kwargs)
     return replace(p, limits=p.limits.override_from_env())
 
@@ -154,6 +162,13 @@ def load_oracle(spec):
     raise UsageError("unknown oracle mode", witness=mode)
 
 
+# The library validates what tilt, regularize, homogenize and find-wall
+# emit, so --verify has nothing to add there; it stays accepted so that
+# scripts passing it, such as perfbench/run.py, keep working.
+_ignored_verify = click.option("--verify", is_flag=True, hidden=True,
+                               expose_value=False)
+
+
 @click.group()
 def main():
     """Flat wall toolkit: validate, transform, and search certificates."""
@@ -206,22 +221,13 @@ def cmd_tighten(rendfile, output, verify):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--subwall", "selection", required=True)
 @click.option("--output", type=click.Path(dir_okay=False))
-@click.option("--verify", is_flag=True)
+@_ignored_verify
 @guarded
-def cmd_tilt(pairfile, selection, output, verify):
+def cmd_tilt(pairfile, selection, output):
     """Tilt a flatness pair onto the selected subwall."""
     G, F = _load_pair(pairfile)
     rows, cols = _parse_subwall(selection)
-    S = subwall(F.wall, rows, cols)
-    res = compute_tilt(G, F, S)
-    if verify:
-        bad = validate_flatness(G, res.pair, lenient_pegs=True)
-        if not is_tilt(S, res.pair.wall):
-            bad = bad + ["output wall is not a tilt of the selection"]
-        if bad:
-            click.echo(json.dumps({"ok": False, "violations": bad},
-                                  sort_keys=True, default=str), err=True)
-            sys.exit(1)
+    res = compute_tilt(G, F, subwall(F.wall, rows, cols))
     payload = pair_to_json(G, res.pair)
     provenance = [[enc(c), [enc(src), i]]
                   for c, (src, i) in sorted(res.provenance.items(),
@@ -237,20 +243,12 @@ def cmd_tilt(pairfile, selection, output, verify):
 @click.option("--pair", "pairfile", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", type=click.Path(dir_okay=False))
-@click.option("--verify", is_flag=True)
+@_ignored_verify
 @guarded
-def cmd_regularize(pairfile, output, verify):
+def cmd_regularize(pairfile, output):
     """Repair untidy cells and tilt away irregular flaps."""
     G, F = _load_pair(pairfile)
     out = regularize(G, F)
-    if verify:
-        bad = validate_flatness(G, out, lenient_pegs=True)
-        if not is_regular(out):
-            bad = bad + ["output pair is not regular"]
-        if bad:
-            click.echo(json.dumps({"ok": False, "violations": bad},
-                                  sort_keys=True, default=str), err=True)
-            sys.exit(1)
     _emit(CertificateBundle("flatness-pair", pair_to_json(G, out)), output)
 
 
@@ -263,9 +261,9 @@ def cmd_regularize(pairfile, output, verify):
 @click.option("--allow-short", is_flag=True,
               help="Search even below the guarantee threshold.")
 @click.option("--output", type=click.Path(dir_okay=False))
-@click.option("--verify", is_flag=True)
+@_ignored_verify
 @guarded
-def cmd_homogenize(pairfile, colorsfile, target, allow_short, output, verify):
+def cmd_homogenize(pairfile, colorsfile, target, allow_short, output):
     """Find a subwall whose tilt has one palette on all internal bricks."""
     G, F = _load_pair(pairfile)
     raw = _load_json(colorsfile)
@@ -276,7 +274,7 @@ def cmd_homogenize(pairfile, colorsfile, target, allow_short, output, verify):
         key = str(cid)
         if key not in raw:
             raise SchemaError("colors file misses a cell", witness=key)
-        colors[cid] = int(raw[key])
+        colors[cid] = _integer(raw[key], key, "colors must be integers")
     zeta = FlapColoring(colors, max(colors.values(), default=1))
     res = find_homogeneous(G, F, zeta, target, allow_short=allow_short)
     if res is None:
@@ -285,14 +283,6 @@ def cmd_homogenize(pairfile, colorsfile, target, allow_short, output, verify):
                                               "within the search bound"]}),
                    err=True)
         sys.exit(1)
-    if verify:
-        src = res.provenance
-        if not is_homogeneous(res.pair, zeta,
-                              fallback=lambda c: src.get(c, (c,))[0]):
-            click.echo(json.dumps({"ok": False,
-                                   "violations": ["output not homogeneous"]}),
-                       err=True)
-            sys.exit(1)
     _emit(CertificateBundle("flatness-pair", pair_to_json(G, res.pair)),
           output)
 
@@ -323,10 +313,9 @@ def cmd_leveling(pairfile, with_rep, output):
                                                         dir_okay=False))
 @click.option("--oracle", "oraclespec", default=None)
 @click.option("--output", type=click.Path(dir_okay=False))
-@click.option("--verify", is_flag=True)
+@_ignored_verify
 @guarded
-def cmd_find_wall(graphfile, height, order, paramsfile, oraclespec, output,
-                  verify):
+def cmd_find_wall(graphfile, height, order, paramsfile, oraclespec, output):
     """Run the driver: minor, tree decomposition, or flat wall."""
     raw = _load_json(graphfile)
     if isinstance(raw, dict) and "kind" in raw:
@@ -336,14 +325,6 @@ def cmd_find_wall(graphfile, height, order, paramsfile, oraclespec, output,
     p = load_params(paramsfile)
     oracle = load_oracle(oraclespec)
     out = flat_wall_driver(G, height, order, oracle, p)
-    if verify:
-        bad = validate_driver_outcome(G, height, order, out, p)
-        if out.kind == "minor" and out.model is None:
-            bad = [x for x in bad if "desk-verifiable" not in x]
-        if bad:
-            click.echo(json.dumps({"ok": False, "violations": bad},
-                                  sort_keys=True, default=str), err=True)
-            sys.exit(1)
     _emit(CertificateBundle("driver-outcome", outcome_to_json(out),
                             params=p.describe()), output)
 

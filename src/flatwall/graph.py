@@ -388,29 +388,47 @@ class TreeDecomposition:
     def validate(self, G: Graph) -> List[str]:
         problems = []
         nodes = set(self.bags)
+        tree: Dict = {k: set() for k in nodes}
         for a, b in self.tree_edges:
             if a not in nodes or b not in nodes:
                 problems.append(f"tree edge {a},{b} off the node set")
-        T = Graph(nodes, self.tree_edges) if nodes else Graph()
-        if nodes and not T.connected():
+            elif a == b:
+                problems.append(f"tree edge {a},{b} is a loop")
+            tree.setdefault(a, set()).add(b)
+            tree.setdefault(b, set()).add(a)
+        if nodes and not _spans(tree, tree):
             problems.append("tree is disconnected")
         if len(self.tree_edges) != max(0, len(nodes) - 1):
             problems.append("tree has a cycle")
-        covered = set()
-        for b in self.bags.values():
-            covered |= b
-        if covered != G.vertex_set:
+        # the tree nodes whose bags hold each vertex
+        holding: Dict = {}
+        for k, b in self.bags.items():
+            for v in b:
+                holding.setdefault(v, set()).add(k)
+        if holding.keys() != G.vertex_set:
             problems.append("bags do not cover the vertex set")
         for u, v in G.edge_set:
-            if not any(u in b and v in b for b in self.bags.values()):
+            if holding.get(u, set()).isdisjoint(holding.get(v, ())):
                 problems.append(f"edge {u},{v} in no bag")
                 break
         for v in G.vertex_set:
-            holding = [k for k, b in self.bags.items() if v in b]
-            if holding and not T.subgraph(holding).connected():
+            if v in holding and not _spans(tree, holding[v]):
                 problems.append(f"bags of {v} not connected in the tree")
                 break
         return problems
+
+
+def _spans(adj: Dict, within) -> bool:
+    """Whether the (non-empty) `within` induces a connected part of `adj`."""
+    start = next(iter(within))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in within and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(within)
 
 
 def exact_treewidth(G: Graph, limit: Optional[int] = None) -> Tuple[int, TreeDecomposition]:

@@ -330,7 +330,8 @@ def find_wall_with_decomposition(G: Graph, r: int, t: int,
 
 
 class TreewidthDecider:
-    """Interface: decomposition of width <= 5z+4, or a high-treewidth call."""
+    """Interface: decomposition of width <= 5z+4, or a high-treewidth call.
+    Deciders leave validating a decomposition to their caller."""
 
     def decide(self, G: Graph, z: int) -> Tuple[str, object]:
         raise NotImplementedError
@@ -346,9 +347,6 @@ class DefaultTreewidthDecider(TreewidthDecider):
         # the heuristic answer is sound whenever it fits the width budget,
         # so the exact search only runs to certify a high-treewidth call
         td = min_fill_decomposition(G)
-        bad = td.validate(G)
-        if bad:
-            raise InternalError("heuristic decomposition invalid", witness=bad)
         if td.width <= 5 * z + 4:
             return "decomposition", td
         if G.n <= self.p.limits.treewidth:
@@ -381,13 +379,18 @@ class ScriptedTreewidthDecider(TreewidthDecider):
             self.log.append(f"scripted high-treewidth verdict on n={G.n}")
             return "high", "scripted, unverified"
         if isinstance(entry, TreeDecomposition):
-            bad = entry.validate(G)
-            if bad:
-                raise InternalError("scripted decomposition invalid",
-                                    witness=bad)
             self.log.append(f"scripted decomposition on n={G.n}")
             return "decomposition", entry
         raise InputError("unknown script entry", witness=repr(entry))
+
+
+def _decomposition_problems(td: TreeDecomposition, H: Graph, z: int,
+                            what: str = "decomposition") -> List[str]:
+    """Problems of `td` as a decomposition of H of width at most 5z+4."""
+    problems = td.validate(H)
+    if td.width > 5 * z + 4:
+        problems.append(f"{what} width over the budget")
+    return problems
 
 
 # -- flat-wall oracles -----------------------------------------------------
@@ -632,12 +635,9 @@ def find_low_tw_compass(G: Graph, r: int, t: int, L: Iterable,
     verdict, payload = decider.decide(GD, z)
     if verdict == "decomposition":
         td = payload
-        bad = td.validate(GD)
+        bad = _decomposition_problems(td, GD, z, "compass decomposition")
         if bad:
             raise InternalError("compass decomposition invalid", witness=bad)
-        if td.width > 5 * z + 4:
-            raise InternalError("compass decomposition over the budget",
-                                witness=[td.width, 5 * z + 4])
         td_k = _restrict_decomposition(td, Kp.vertex_set)
         return CompassResult("flat", t, apex=A, pair=final.pair,
                              decomposition=td_k, graph=GA, notes=notes,
@@ -695,41 +695,42 @@ def flat_wall_driver(G: Graph, r: int, t: int, oracle: FlatWallOracle,
                      p: Optional[Params] = None,
                      tw_decider: Optional[TreewidthDecider] = None
                      ) -> DriverOutcome:
-    """Exactly one validated outcome: minor, decomposition, or flat wall."""
+    """Exactly one outcome: minor, decomposition, or flat wall, checked once
+    by `validate_driver_outcome` against G; only the model-less dense-graph
+    minor report beyond the desk limit is returned unchecked."""
     p = p or Params()
-    decider = tw_decider or DefaultTreewidthDecider(p)
     check_height(r)
     if t < 1:
         raise InputError("t must be positive", witness=t)
     z = z_bound(r, t, p)
-    notes: List[str] = []
+    dense = G.m > p.edge_density_coeff * t * G.n
+    if dense and t > 2 and G.n > p.limits.minor_model:
+        return DriverOutcome("minor", t, r, params=p.describe(),
+                             notes=["dense graph: minor not desk-verifiable"])
+    out = _driver_outcome(G, r, t, z, dense, oracle, p,
+                          tw_decider or DefaultTreewidthDecider(p))
+    bad = validate_driver_outcome(G, r, t, out, p)
+    if bad:
+        raise InternalError("driver outcome failed validation", witness=bad)
+    return out
 
-    ct = p.edge_density_coeff * t
-    if G.m > ct * G.n:
-        if t <= 2 or G.n <= p.limits.minor_model:
-            model = _small_clique_minor(G, t, p)
-            if model is None:
-                raise InternalError("edge-density shortcut misfired",
-                                    witness=[G.n, G.m, ct])
-            notes.append("dense graph: minor model verified")
-        else:
-            model = None
-            notes.append("dense graph: minor not desk-verifiable")
-        return DriverOutcome("minor", t, r, model=model,
-                             params=p.describe(), notes=notes)
+
+def _driver_outcome(G: Graph, r: int, t: int, z: int, dense: bool,
+                    oracle: FlatWallOracle, p: Params,
+                    decider: TreewidthDecider) -> DriverOutcome:
+    if dense:
+        model = _small_clique_minor(G, t, p)
+        if model is None:
+            raise InternalError("edge-density shortcut misfired",
+                                witness=[G.n, G.m, p.edge_density_coeff * t])
+        return DriverOutcome("minor", t, r, model=model, params=p.describe(),
+                             notes=["dense graph: minor model verified"])
 
     verdict, payload = decider.decide(G, z)
     if verdict == "decomposition":
-        td = payload
-        bad = td.validate(G)
-        if bad:
-            raise InternalError("decomposition invalid", witness=bad)
-        if td.width > 5 * z + 4:
-            raise InternalError("decomposition over the budget",
-                                witness=[td.width, 5 * z + 4])
-        return DriverOutcome("tree-decomposition", t, r, decomposition=td,
-                             params=p.describe(), notes=notes)
-    notes.append(f"high treewidth: {payload}")
+        return DriverOutcome("tree-decomposition", t, r, decomposition=payload,
+                             params=p.describe())
+    notes = [f"high treewidth: {payload}"]
 
     res = find_low_tw_compass(G, r, t, frozenset(), oracle, p, decider)
     if res.kind == "minor":
@@ -739,18 +740,16 @@ def flat_wall_driver(G: Graph, r: int, t: int, oracle: FlatWallOracle,
     reg = regularize(res.graph, res.pair)
     td_k = _restrict_decomposition(res.decomposition,
                                    reg.compass().vertex_set)
-    out = DriverOutcome("flat-wall", t, r, apex=res.apex, pair=reg,
-                        compass_decomposition=td_k, graph=res.graph,
-                        params=p.describe(),
-                        notes=notes + res.notes, trace=res.trace)
-    bad = validate_driver_outcome(G, r, t, out, p)
-    if bad:
-        raise InternalError("driver outcome failed validation", witness=bad)
-    return out
+    return DriverOutcome("flat-wall", t, r, apex=res.apex, pair=reg,
+                         compass_decomposition=td_k, graph=res.graph,
+                         params=p.describe(),
+                         notes=notes + res.notes, trace=res.trace)
 
 
 def validate_driver_outcome(G: Graph, r: int, t: int, out: DriverOutcome,
                             p: Optional[Params] = None) -> List[str]:
+    """Every problem of `out` as a driver outcome on G. `flat_wall_driver`
+    runs this on what it returns; callers use it on outcomes read back."""
     p = p or Params()
     z = z_bound(r, t, p)
     problems: List[str] = []
@@ -760,9 +759,7 @@ def validate_driver_outcome(G: Graph, r: int, t: int, out: DriverOutcome,
         else:
             problems.append("minor report carries no desk-verifiable model")
     elif out.kind == "tree-decomposition":
-        problems.extend(out.decomposition.validate(G))
-        if out.decomposition.width > 5 * z + 4:
-            problems.append("decomposition width over the budget")
+        problems.extend(_decomposition_problems(out.decomposition, G, z))
     elif out.kind == "flat-wall":
         if len(out.apex) > p.f_hierarchical(t):
             problems.append("apex set over the bound")
@@ -774,10 +771,9 @@ def validate_driver_outcome(G: Graph, r: int, t: int, out: DriverOutcome,
             problems.append("pair is not regular")
         if out.pair.height != r:
             problems.append("pair has the wrong height")
-        K = out.pair.compass()
-        problems.extend(out.compass_decomposition.validate(K))
-        if out.compass_decomposition.width > 5 * z + 4:
-            problems.append("compass decomposition width over the budget")
+        problems.extend(_decomposition_problems(
+            out.compass_decomposition, out.pair.compass(), z,
+            "compass decomposition"))
     else:
         problems.append(f"unknown outcome kind {out.kind}")
     return problems

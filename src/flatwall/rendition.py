@@ -253,11 +253,6 @@ class _Work:
         raise InternalError("no planar placement for cell replacement",
                             witness=old)
 
-    def validate(self):
-        bad = validate_painting(self.painting())
-        if bad:
-            raise InternalError("tighten broke the painting", witness=bad)
-
 
 def _step_i(G: Graph, w: _Work) -> bool:
     image = {v: x for x, v in w.pi.items()}
@@ -476,7 +471,6 @@ def tighten(G: Graph, R: Rendition, report: Optional[List[str]] = None) -> Rendi
             break
     else:
         raise InternalError("tightening did not reach a fixpoint")
-    w.validate()
     out = w.rendition()
     check = validate_rendition(G, out)
     if check:

@@ -543,6 +543,8 @@ def repair_untidy(G: Graph, F: FlatnessPair) -> FlatnessPair:
 
 
 def regularize(G: Graph, F: FlatnessPair) -> FlatnessPair:
+    """A regular pair of F's height whose compass lies in F's; the final
+    tilt validates it against G."""
     tidy = repair_untidy(G, F)
     res = tilt_main(G, tidy, tidy.wall)
     out = res.pair
@@ -555,7 +557,4 @@ def regularize(G: Graph, F: FlatnessPair) -> FlatnessPair:
     if not (new.vertex_set <= old.vertex_set
             and new.edge_set <= old.edge_set):
         raise InternalError("regularized compass grew")
-    bad = validate_flatness(G, out, lenient_pegs=True)
-    if bad:
-        raise InternalError("regularized pair fails validation", witness=bad)
     return out

@@ -39,25 +39,27 @@ def bfs_distance(G: Graph, x, y):
 
 
 def treewidth_by_elimination(G: Graph) -> int:
-    """Minimum over all elimination orderings, brute force."""
-    verts = list(G.vertices)
-    if not verts:
+    """Minimum over all elimination orderings, brute force: a depth-first
+    search over ordering prefixes that drops a prefix once it is no
+    better than the best complete ordering found."""
+    if not G.n:
         return -1
-    best = len(verts)
-    base = {v: set(G.neighbors(v)) for v in verts}
-    for order in itertools.permutations(verts):
-        adj = {v: set(ns) for v, ns in base.items()}
-        width = 0
-        for v in order:
-            ns = adj[v]
-            width = max(width, len(ns))
-            for a in ns:
-                adj[a] |= ns - {a}
-                adj[a].discard(v)
-            del adj[v]
-            if width >= best:
-                break
-        best = min(best, width)
+    best = G.n
+
+    def extend(adj, width):
+        nonlocal best
+        if not adj:
+            best = width
+            return
+        for v, ns in adj.items():
+            w = max(width, len(ns))
+            if w >= best:
+                continue
+            rest = {a: (bs | ns) - {a, v} if a in ns else bs
+                    for a, bs in adj.items() if a != v}
+            extend(rest, w)
+
+    extend({v: set(G.neighbors(v)) for v in G.vertices}, 0)
     return best
 
 

@@ -114,6 +114,25 @@ def test_treewidth_small_exact():
         exact_treewidth(k(25), limit=20)
 
 
+@pytest.mark.parametrize("bags, tree_edges, problems", [
+    ({0: {0, 1}, 1: {1, 2}}, [(0, 0)],
+     ["tree edge 0,0 is a loop", "tree is disconnected",
+      "bags of 1 not connected in the tree"]),
+    ({0: {0, 1}, 1: {1, 2}}, [(0, 1), (1, 7)],
+     ["tree edge 1,7 off the node set", "tree has a cycle"]),
+    ({0: {0, 1}, 1: {1}}, [(0, 1)],
+     ["bags do not cover the vertex set", "edge 1,2 in no bag"]),
+    ({0: {0, 1}, 1: {2}}, [(0, 1)], ["edge 1,2 in no bag"]),
+    ({0: {0, 1}, 1: {1, 2}, 2: {0}}, [(0, 1), (1, 2)],
+     ["bags of 0 not connected in the tree"]),
+    ({0: {0, 1}, 1: {1, 2}, 2: {1, 2}}, [(0, 1), (1, 2), (2, 0)],
+     ["tree has a cycle"]),
+])
+def test_decomposition_problems_are_reported(bags, tree_edges, problems):
+    G = Graph(range(3), [(0, 1), (1, 2)])
+    assert TreeDecomposition(bags, tree_edges).validate(G) == problems
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 999))
 def test_treewidth_matches_elimination_oracle(seed):

@@ -17,6 +17,8 @@ from flatwall.errors import (CapacityError, InputError, InternalError,
                              UsageError)
 from flatwall.flatness import generate_fixture, is_regular, validate_flatness
 from flatwall.graph import Graph, TreeDecomposition
+from flatwall.pipeline import (ScriptedOracle, flat_wall_driver,
+                               validate_driver_outcome)
 from flatwall.serialize import (CertificateBundle, ParseError, SchemaError,
                                 bundle_to_json, canonical_bytes,
                                 decomposition_from_json,
@@ -80,6 +82,15 @@ def test_decomposition_and_model_round_trip():
     assert set(td2.tree_edges) == set(td.tree_edges)
     model = {"k0": frozenset([1, 2]), "k1": frozenset(["a"])}
     assert model_from_json(model_to_json(model)) == model
+
+
+def test_read_back_loop_tree_edge_is_a_listed_problem():
+    G = Graph(range(3), [(0, 1), (1, 2)])
+    out = flat_wall_driver(G, 3, 2, ScriptedOracle([]))
+    d = decomposition_to_json(out.decomposition)
+    d["tree_edges"].append([0, 0])
+    out.decomposition = decomposition_from_json(d)
+    assert "tree edge 0,0 is a loop" in validate_driver_outcome(G, 3, 2, out)
 
 
 # -- bundles ---------------------------------------------------------------
@@ -266,6 +277,20 @@ def test_cli_homogenize(tmp_path):
     assert F2.height == 3
 
 
+@pytest.mark.parametrize("value", [2.7, "x", None, True])
+def test_cli_homogenize_rejects_non_integer_colors(tmp_path, value):
+    path, G, F = write_pair(tmp_path, 7, 3)
+    colors = {str(cid): 1 for cid in F.rendition.sigma}
+    colors[str(next(iter(F.rendition.sigma)))] = value
+    cpath = tmp_path / "colors.json"
+    cpath.write_text(json.dumps(colors))
+    res = runner.invoke(main, ["homogenize", "--pair", str(path),
+                               "--colors", str(cpath),
+                               "--target-height", "3"])
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.stderr)["error"]["code"] == "SchemaError"
+
+
 def test_cli_leveling_with_representation(tmp_path):
     path, G, F = write_pair(tmp_path, 8, 5)
     out = tmp_path / "lev.json"
@@ -289,6 +314,26 @@ def test_cli_find_wall_decomposition(tmp_path):
     b = read_bundle(out)
     assert b.kind == "driver-outcome"
     assert b.payload["outcome"] == "tree-decomposition"
+
+
+def test_cli_find_wall_validates_the_decomposition_once(tmp_path,
+                                                        monkeypatch):
+    G = Graph(range(10), [(i, i + 1) for i in range(9)])
+    gpath = tmp_path / "g.json"
+    write_bundle(gpath, CertificateBundle("graph", graph_to_json(G)))
+    calls = []
+    validate = TreeDecomposition.validate
+
+    def counted(self, H):
+        calls.append(H.n)
+        return validate(self, H)
+
+    monkeypatch.setattr(TreeDecomposition, "validate", counted)
+    res = runner.invoke(main, ["find-wall", "--graph", str(gpath),
+                               "-r", "3", "-t", "2", "--verify"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["payload"]["outcome"] == "tree-decomposition"
+    assert calls == [10]
 
 
 def test_cli_find_wall_does_not_import_networkx(tmp_path):
@@ -349,6 +394,9 @@ def test_params_file_and_env_override(tmp_path, monkeypatch):
     ({"edge_density_coeff": "x"}, None, 1, "SchemaError"),
     ({"f_hierarchical": {"coeff": "two", "power": 1}}, None, 1, "SchemaError"),
     ({}, "abc", 2, "UsageError"),
+    ({"edge_density_coeff": 1.5}, None, 1, "SchemaError"),
+    ({"f_questionnaires": {"coeff": 2.9, "power": 1}}, None, 1, "SchemaError"),
+    ({"f_entstandenen": {"coeff": 1, "power": True}}, None, 1, "SchemaError"),
 ])
 def test_bad_params_give_structured_errors(tmp_path, monkeypatch, params,
                                            env, code, error):

@@ -205,7 +205,7 @@ def test_scripted_decider_validates_decompositions():
     bad = TreeDecomposition({0: {0}}, [])
     d = ScriptedTreewidthDecider([bad], UP)
     with pytest.raises(InternalError):
-        d.decide(path_graph(3), 60)
+        flat_wall_driver(path_graph(3), 3, 2, ScriptedOracle([]), UP, d)
     d = ScriptedTreewidthDecider(["nonsense"], UP)
     with pytest.raises(InputError):
         d.decide(path_graph(3), 60)
@@ -260,6 +260,13 @@ def test_driver_density_shortcut_verified():
     assert out.kind == "minor"
     assert validate_minor_model(complete_graph(20), out.model, 2) == []
     assert any("verified" in n for n in out.notes)
+
+
+def test_driver_checks_the_shortcut_minor(monkeypatch):
+    monkeypatch.setattr("flatwall.pipeline._small_clique_minor",
+                        lambda G, t, p: {"k0": {0}, "k1": {0}})
+    with pytest.raises(InternalError):
+        flat_wall_driver(complete_graph(20), 3, 2, ScriptedOracle([]), UP)
 
 
 def test_driver_density_shortcut_unverifiable():
