@@ -27,11 +27,11 @@ from .pipeline import (FlatWallOracle, ManualOracle, OracleAnswer,
                        ScriptedOracle, flat_wall_driver)
 from .rendition import check_tightness, tighten
 from .serialize import (CertificateBundle, ParseError, SchemaError,
-                        bundle_to_json, canonical_bytes, enc,
+                        bundle_to_json, canonical_bytes, dec, enc,
                         graph_from_json, leveling_to_json, model_from_json,
                         outcome_to_json, pair_from_json, pair_to_json,
                         rendition_from_json, rendition_to_json,
-                        representation_to_json, _field)
+                        representation_to_json, _field, _list)
 from .tilt import compute_tilt, regularize
 from .wall import subwall
 
@@ -134,15 +134,19 @@ def _answer_from_json(d):
     if "model" in d:
         ans.model = model_from_json(d["model"], "answer.model")
     if "apex" in d:
-        from .serialize import dec
-        ans.apex = frozenset(dec(v) for v in d["apex"])
+        ans.apex = frozenset(dec(v) for v in _list(d["apex"], "answer.apex"))
     if "pair" in d:
         _, ans.pair = pair_from_json(d["pair"], "answer.pair")
     if "rows" in d:
-        ans.subwall_rows = tuple(d["rows"])
+        ans.subwall_rows = _indices(d["rows"], "answer.rows")
     if "cols" in d:
-        ans.subwall_cols = tuple(d["cols"])
+        ans.subwall_cols = _indices(d["cols"], "answer.cols")
     return ans
+
+
+def _indices(x, path):
+    return tuple(_integer(v, path, "subwall rows and columns must be "
+                          "integers") for v in _list(x, path))
 
 
 def load_oracle(spec):
@@ -154,8 +158,8 @@ def load_oracle(spec):
     mode, path = spec.split(":", 1)
     d = _load_json(path)
     if mode == "scripted":
-        answers = [_answer_from_json(a)
-                   for a in _field(d, "answers", "oracle")]
+        answers = [_answer_from_json(a) for a in
+                   _list(_field(d, "answers", "oracle"), "oracle.answers")]
         return ScriptedOracle(answers)
     if mode == "manual":
         return ManualOracle(_answer_from_json(d))

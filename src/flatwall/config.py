@@ -15,7 +15,7 @@ from .errors import UsageError
 class Limits:
     minor_model: int = 24
     treewidth: int = 20
-    pegs_enum: int = 400          # wall size for strict pegs/corners enumeration
+    pegs_enum: int = 400          # wall size for pegs/corners enumeration
     find_wall: int = 64           # |V(G)| for the wall-finding base case
 
     def override_from_env(self) -> "Limits":

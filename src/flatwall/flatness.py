@@ -18,14 +18,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import CapacityError, InputError, InternalError
+from .errors import InputError, InternalError
 from .graph import Graph, cyclic_equal, is_separation, norm_edge, vkey
 from .painting import Painting, trace_normal_cycle, validate_painting
 from .rendition import Rendition, check_tightness, validate_rendition
-from .wall import (PegsCorners, Wall, choices_of_pegs_corners, elementary_wall,
-                   fresh_names, subdivide_wall, temp_bricks, temp_corners,
-                   temp_degree, temp_edges, temp_pegs, temp_perimeter,
-                   temp_vertices)
+from .wall import (PegsCorners, Wall, elementary_wall, fresh_names,
+                   subdivide_wall, temp_bricks, temp_corners, temp_degree,
+                   temp_edges, temp_pegs, temp_perimeter, temp_vertices)
 
 Cycle = Union[Wall, Sequence]
 
@@ -41,7 +40,7 @@ class FlatnessPair:
     - "untidy": the untidy cells (`untidy_cells`);
     - ("classes", cycle edges): the cell classes against a cycle
       (`classify_cells`);
-    - ("validated", G, strict_pegs, lenient_pegs): the violations
+    - ("validated", G, lenient_pegs): the violations
       `validate_flatness` found against the graph G, keyed by its content.
     """
 
@@ -127,14 +126,13 @@ def untidy_cells(F: FlatnessPair) -> FrozenSet:
 
 
 def validate_flatness(G: Graph, F: FlatnessPair,
-                      strict_pegs: bool = False,
                       lenient_pegs: bool = False) -> List[str]:
     """Check the certificate; lenient_pegs drops the degree-2 peg rule.
 
     Rerouted walls may carry pegs on 3-branch vertices; for those only the
     chain C <= P <= X cap Y <= V(D(W)) is enforced.
     """
-    memo_key = ("validated", G, strict_pegs, lenient_pegs)
+    memo_key = ("validated", G, lenient_pegs)
     got = F._memo.get(memo_key)
     if got is not None:
         return list(got)
@@ -165,13 +163,6 @@ def validate_flatness(G: Graph, F: FlatnessPair,
         for p in P:
             if p in W.graph and W.graph.degree(p) != 2:
                 problems.append(f"peg {p} does not have degree 2 in the wall")
-    if strict_pegs and not problems:
-        try:
-            if not any(pc.pegs == P and pc.corners == C
-                       for pc in choices_of_pegs_corners(W)):
-                problems.append("(P, C) matches no subdivision presentation")
-        except CapacityError:
-            problems.append("pegs check skipped: wall over the desk limit")
 
     R = F.rendition
     H = G.subgraph(F.Y)

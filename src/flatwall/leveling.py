@@ -48,16 +48,7 @@ class Representation:
 
 
 def w_bullet(F: FlatnessPair) -> Graph:
-    wedges = F.wall.graph.edge_set
-    short = {e for e in short_edges(F) if e in wedges}
-    edges = []
-    for u, v in F.wall.graph.edges:
-        if norm_edge(u, v) in short:
-            s = _sv(u, v)
-            edges.extend([(u, s), (s, v)])
-        else:
-            edges.append((u, v))
-    return Graph(F.wall.graph.vertices, edges)
+    return _bullet_wall(F).graph
 
 
 def leveling_graph(F: FlatnessPair) -> Leveling:
@@ -218,11 +209,11 @@ def _build(F: FlatnessPair, label: Dict[FrozenSet, object],
 
 
 def _search(F: FlatnessPair, limit: int):
-    Wb = w_bullet(F)
     Wb_wall = _bullet_wall(F)
+    Wb = Wb_wall.graph
     comps, bad = _components_of_bullet(F, Wb)
     if comps is None:
-        return None, 1
+        return None
     cands = [(comp, _candidates(F, comp)) for comp in comps]
     cands.sort(key=lambda t: len(t[1]))
     tried = 0
@@ -247,14 +238,14 @@ def _search(F: FlatnessPair, limit: int):
             del label[comp.vertices]
         return None
 
-    return rec(0, set(), {}), tried
+    return rec(0, set(), {})
 
 
 def representation(F: FlatnessPair) -> Representation:
     if not is_regular(F):
         raise InputError("representation requires a regular pair")
     try:
-        rep, _ = _search(F, limit=50)
+        rep = _search(F, limit=50)
     except CapacityError:
         rep = None
     if rep is None:
@@ -268,7 +259,7 @@ def is_well_aligned(F: FlatnessPair, limit: int = 2000) -> Union[bool, str]:
     if is_regular(F):
         return representation(F) is not None
     try:
-        rep, _ = _search(F, limit=limit)
+        rep = _search(F, limit=limit)
     except CapacityError:
         return "unknown"
     return rep is not None

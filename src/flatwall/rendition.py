@@ -15,6 +15,7 @@ from .errors import InputError, InternalError
 from .graph import (Graph, articulation_points, cyclic_equal,
                     max_vertex_disjoint_paths, min_vertex_cut, vkey)
 from .painting import Painting, validate_painting
+from .wall import fresh_names
 
 
 class Rendition:
@@ -200,16 +201,10 @@ class _Work:
         self.sigma = dict(R.sigma)
         self.pi = dict(R.pi)
         self.omega = tuple(R.omega)
-        self._counter = 0
-        self._taken = set(self.cells)
+        self._names = fresh_names(self.cells, prefix="t")
 
     def fresh(self) -> str:
-        while True:
-            name = f"t{self._counter}"
-            self._counter += 1
-            if name not in self._taken:
-                self._taken.add(name)
-                return name
+        return next(self._names)
 
     def painting(self) -> Painting:
         return Painting(self.nodes, self.cells,

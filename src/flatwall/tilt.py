@@ -24,7 +24,7 @@ from .flatness import (FlatnessPair, classify_cells, cycle_runs,
 from .graph import Graph, max_vertex_disjoint_paths, norm_edge, vkey
 from .painting import Painting, validate_painting
 from .rendition import Rendition
-from .wall import PegsCorners, Wall, is_tilt, temp_degree
+from .wall import PegsCorners, Wall, fresh_names, is_tilt, temp_degree
 
 
 # -- stretchings -----------------------------------------------------------
@@ -285,15 +285,7 @@ def tilt_main(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
     # painting surgery: drop external and outer-perimetric cells, replace
     # the latter with chains of 2-node cells along their stretchings
     keep = set(kept_internal) | set(ip)
-    taken = set(P0.nodes)
-    fresh_i = itertools.count()
-
-    def fresh_node():
-        while True:
-            n = f"q{next(fresh_i)}"
-            if n not in taken:
-                taken.add(n)
-                return n
+    node_names = fresh_names(P0.nodes, prefix="q")
 
     node_of: Dict[object, object] = {}
     chain_ids: Dict[object, List[str]] = {}
@@ -317,7 +309,7 @@ def tilt_main(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
             if v in pi_inv:
                 node_of[v] = pi_inv[v]
             else:
-                node_of[v] = fresh_node()
+                node_of[v] = next(node_names)
             new_pi[node_of[v]] = v
         pts = [st.x] + list(st.junctions) + [st.y]
         for i, nid in enumerate(ids):

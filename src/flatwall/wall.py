@@ -280,170 +280,20 @@ def subdivide_wall(W: Wall, plan: Dict) -> Wall:
     return Wall(W.height, W.branch_coords, segs)
 
 
-# -- deriving a template from explicit paths -------------------------------
-
-
-def _runs_on(path: Sequence, members: FrozenSet) -> List[List]:
-    runs = []
-    cur: List = []
-    for v in path:
-        if v in members:
-            cur.append(v)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-    return runs
-
-
-def _try_template(hpaths: List[Tuple], vpaths: List[Tuple]) -> Optional[Wall]:
-    r = len(hpaths)
-    hpos = [{v: i for i, v in enumerate(p)} for p in hpaths]
-    vpos = [{v: i for i, v in enumerate(p)} for p in vpaths]
-
-    inter: List[List[Optional[List]]] = [[None] * (r + 1) for _ in range(r + 1)]
-    for m in range(1, r + 1):
-        for k in range(1, r + 1):
-            runs = _runs_on(vpaths[m - 1], frozenset(hpos[k - 1]))
-            runs = [run for run in runs if run]
-            if len(runs) != 1:
-                return None
-            run = runs[0]
-            # contiguous along the row as well
-            idx = sorted(hpos[k - 1][v] for v in run)
-            if idx != list(range(idx[0], idx[0] + len(idx))):
-                return None
-            inter[m][k] = sorted(run, key=lambda v: hpos[k - 1][v])
-
-    branch: Dict[Coord, object] = {}
-    segs: Dict[Tuple[Coord, Coord], Tuple] = {}
-
-    def hsub(k: int, a, b) -> Tuple:
-        i, j = hpos[k - 1][a], hpos[k - 1][b]
-        if i > j:
-            return None
-        return tuple(hpaths[k - 1][i:j + 1])
-
-    def vsub(m: int, a, b) -> Tuple:
-        i, j = vpos[m - 1][a], vpos[m - 1][b]
-        if i > j:
-            return None
-        return tuple(vpaths[m - 1][i:j + 1])
-
-    # middle rows: the run gives the pair (2m-1,k),(2m,k)
-    for k in range(2, r):
-        for m in range(1, r + 1):
-            run = inter[m][k]
-            if len(run) < 2:
-                return None
-            branch[(2 * m - 1, k)] = run[0]
-            branch[(2 * m, k)] = run[-1]
-
-    # bottom and top attachments
-    bottom_att = []
-    top_att = []
-    for m in range(1, r + 1):
-        run_b = inter[m][1]
-        run_t = inter[m][r]
-        a = max(run_b, key=lambda v: vpos[m - 1][v])   # go upward from here
-        b = min(run_t, key=lambda v: vpos[m - 1][v])
-        branch[(2 * m - 1, 1)] = a
-        branch[(2 * m, r)] = b
-        bottom_att.append(a)
-        top_att.append(b)
-
-    # bottom row intermediates (2m,1), top row intermediates (2m+1,r)
-    for m in range(1, r):
-        k1, k2 = hpos[0][bottom_att[m - 1]], hpos[0][bottom_att[m]]
-        if k2 - k1 < 2:
-            return None
-        branch[(2 * m, 1)] = hpaths[0][k1 + 1]
-        k1, k2 = hpos[r - 1][top_att[m - 1]], hpos[r - 1][top_att[m]]
-        if k2 - k1 < 2:
-            return None
-        branch[(2 * m + 1, r)] = hpaths[r - 1][k1 + 1]
-
-    if len(set(branch.values())) != len(branch):
-        return None
-
-    # row segments
-    for k in range(1, r + 1):
-        row_coords = temp_hpath(r, k)
-        for ca, cb in zip(row_coords, row_coords[1:]):
-            sub = hsub(k, branch[ca], branch[cb])
-            if sub is None or len(sub) < 2:
-                return None
-            segs[_norm_cedge(ca, cb)] = sub
-
-    # vertical segments
-    for k in range(1, r):
-        for m in range(1, r + 1):
-            c = 2 * m - 1 if k % 2 == 1 else 2 * m
-            lo, hi = branch.get((c, k)), branch.get((c, k + 1))
-            if lo is None or hi is None:
-                return None
-            sub = vsub(m, lo, hi)
-            if sub is None or len(sub) < 2:
-                return None
-            # internal vertices must avoid the rows strictly
-            segs[_norm_cedge((c, k), (c, k + 1))] = sub
-
-    wall = Wall(r, branch, segs)
-    if wall.validate():
-        return None
-    return wall
-
-
-def wall_from_paths(hpaths: Sequence[Sequence], vpaths: Sequence[Sequence]) -> Wall:
-    """Derive a Wall from explicit horizontal/vertical paths.
-
-    Tries the four presentations (row order, column order) and returns the
-    first that yields a valid template correspondence.
-    """
-    hp = [tuple(p) for p in hpaths]
-    vp = [tuple(p) for p in vpaths]
-    r = len(hp)
-    if r != len(vp):
-        raise InputError("need equally many horizontal and vertical paths")
-    check_height(r)
-    for rows_rev in (False, True):
-        for cols_rev in (False, True):
-            hs = list(reversed(hp)) if rows_rev else list(hp)
-            vs = list(reversed(vp)) if cols_rev else list(vp)
-            # normalize path orientations against the chosen orders
-            hs2 = [_orient(p, vs[0], vs[-1]) for p in hs]
-            vs2 = [_orient(p, hs[0], hs[-1]) for p in vs]
-            if any(p is None for p in hs2) or any(p is None for p in vs2):
-                continue
-            got = _try_template(hs2, vs2)
-            if got is not None:
-                return got
-    raise InputError("paths do not assemble into a wall")
-
-
-def _orient(path: Tuple, first: Tuple, last: Tuple) -> Optional[Tuple]:
-    """Orient path so it meets `first` before `last`."""
-    fs, ls = set(first), set(last)
-    a = next((i for i, v in enumerate(path) if v in fs), None)
-    b = next((i for i, v in enumerate(path) if v in ls), None)
-    if a is None or b is None:
-        return None
-    hi_a = max(i for i, v in enumerate(path) if v in fs)
-    lo_b = min(i for i, v in enumerate(path) if v in ls)
-    if hi_a < lo_b:
-        return path
-    hi_b = max(i for i, v in enumerate(path) if v in ls)
-    if hi_b < a:
-        return tuple(reversed(path))
-    return None
-
-
 # -- subwalls --------------------------------------------------------------
 
 
+_NOT_A_WALL = "paths do not assemble into a wall"
+
+
 def row_selection_valid(rows: Sequence[int]) -> bool:
-    """Middle rows must keep a consistent parity pattern."""
+    """Whether the middle rows alternate in parity, as a wall's rows do.
+
+    W's vertical paths cross its even rows left to right and its odd middle
+    rows right to left. When rows[1] is even, the selected middle rows meet
+    the vertical paths as rows 2, 3, ... of an elementary wall do; when it
+    is odd, they do so in the mirror image, which `subwall` reads instead.
+    """
     rows = list(rows)
     mids = rows[1:-1]
     return any(
@@ -452,6 +302,15 @@ def row_selection_valid(rows: Sequence[int]) -> bool:
 
 
 def subwall(W: Wall, rows: Sequence[int], cols: Sequence[int]) -> Wall:
+    """The subwall of W on the given rows and vertical paths.
+
+    The subwall is read off W's rows and vertical paths as they are when
+    rows[1] is even, and mirrored (columns in reverse order, every row
+    reversed) when rows[1] is odd, so that its vertical paths cross its
+    even rows left to right. Each vertical path then starts where it leaves
+    the bottom row, ends where it reaches the top row, and spans a middle
+    row between the two ends of its run along that row.
+    """
     rows = sorted(set(rows))
     cols = sorted(set(cols))
     rp = len(rows)
@@ -467,7 +326,45 @@ def subwall(W: Wall, rows: Sequence[int], cols: Sequence[int]) -> Wall:
                          witness=rows)
     hp = [W.horizontal_path(j) for j in rows]
     vp = [W.vertical_path(m) for m in cols]
-    return wall_from_paths(hp, vp)
+    if rows[1] % 2:
+        hp = [p[::-1] for p in hp]
+        vp.reverse()
+    hpos = [{v: i for i, v in enumerate(p)} for p in hp]
+    vpos = [{v: i for i, v in enumerate(p)} for p in vp]
+    row_of = {v: k for k, at in enumerate(hpos, 1) for v in at}
+
+    branch: Dict[Coord, object] = {}
+    for m, path in enumerate(vp, 1):
+        runs: Dict[int, List] = {k: [] for k in range(1, rp + 1)}
+        for v in path:
+            if v in row_of:
+                runs[row_of[v]].append(v)
+        if not all(runs.values()):
+            raise InputError(_NOT_A_WALL)
+        branch[(2 * m - 1, 1)] = runs[1][-1]
+        branch[(2 * m, rp)] = runs[rp][0]
+        for k in range(2, rp):
+            run = runs[k] if k % 2 == 0 else runs[k][::-1]
+            branch[(2 * m - 1, k)], branch[(2 * m, k)] = run[0], run[-1]
+    # the degree-2 vertices of the bottom and top rows
+    for m in range(1, rp):
+        for x, y in ((2 * m, 1), (2 * m + 1, rp)):
+            i = hpos[y - 1][branch[(x - 1, y)]] + 1
+            if i == len(hp[y - 1]):
+                raise InputError(_NOT_A_WALL)
+            branch[(x, y)] = hp[y - 1][i]
+
+    segs = {}
+    for a, b in temp_edges(rp):
+        if a[1] == b[1]:
+            path, at = hp[a[1] - 1], hpos[a[1] - 1]
+        else:                   # columns 2m-1 and 2m are vertical path m
+            path, at = vp[(a[0] - 1) // 2], vpos[(a[0] - 1) // 2]
+        segs[(a, b)] = path[at[branch[a]]:at[branch[b]] + 1]
+    S = Wall(rp, branch, segs)
+    if any(len(p) < 2 for p in segs.values()) or S.validate():
+        raise InputError(_NOT_A_WALL)
+    return S
 
 
 def enumerate_subwalls(W: Wall, rp: int):

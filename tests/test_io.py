@@ -376,6 +376,25 @@ def test_cli_find_wall_bad_oracle_spec(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("mode, oracle", [
+    ("scripted", {"answers": 5}),
+    ("manual", {"kind": "flat", "rows": 5}),
+    ("manual", {"kind": "flat", "apex": 7}),
+    ("manual", {"kind": "flat", "rows": [1, "2", 3]}),
+    ("scripted", {"answers": [{"kind": "flat", "cols": [1, 2.5, 3]}]}),
+])
+def test_bad_oracle_files_give_structured_errors(tmp_path, mode, oracle):
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(canonical_bytes(graph_to_json(Graph(range(3),
+                                                          [(0, 1)]))))
+    opath = tmp_path / "oracle.json"
+    opath.write_text(json.dumps(oracle))
+    res = runner.invoke(main, ["find-wall", "--graph", str(gpath), "-r", "3",
+                               "-t", "2", "--oracle", f"{mode}:{opath}"])
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.stderr)["error"]["code"] == "SchemaError"
+
+
 def test_params_file_and_env_override(tmp_path, monkeypatch):
     ppath = tmp_path / "params.json"
     ppath.write_text(json.dumps({

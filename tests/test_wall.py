@@ -11,7 +11,7 @@ from flatwall.wall import (Wall, choices_of_pegs_corners, elementary_wall,
                            enumerate_subwalls, interior, is_tilt,
                            row_selection_valid, subdivide_wall, subwall,
                            temp_bricks, temp_corners, temp_pegs,
-                           temp_vertices, wall_from_paths)
+                           temp_vertices)
 
 import oracles
 
@@ -77,17 +77,27 @@ def test_subdivide_rejects_bad_plan():
         subdivide_wall(W, {e: -1})
 
 
-def test_wall_from_paths_roundtrip():
-    for r in (3, 5):
+def test_full_subwall_is_the_wall():
+    for r in (3, 5, 7):
         W = elementary_wall(r)
-        hp = [W.horizontal_path(j) for j in range(1, r + 1)]
-        vp = [W.vertical_path(m) for m in range(1, r + 1)]
-        got = wall_from_paths(hp, vp)
-        assert got.validate() == []
-        assert got.graph == W.graph
-        # flipped presentations still assemble the same graph
-        got2 = wall_from_paths(list(reversed(hp)), list(reversed(vp)))
-        assert got2.graph == W.graph
+        full = range(1, r + 1)
+        assert subwall(W, full, full) == W
+        for seed in range(3):
+            S = random_subdivision(W, seed)
+            assert subwall(S, full, full).graph == S.graph
+
+
+@pytest.mark.parametrize("rows, cols, want", [
+    # rows[1] even: W read as it is
+    ((1, 2, 3), (1, 2, 3), {(1, 1): "1,1", (2, 1): "2,1", (2, 2): "2,2",
+                            (6, 2): "6,2", (2, 3): "2,3", (3, 3): "3,3"}),
+    # rows[1] odd: W read mirrored, so column 1 is W's third vertical path
+    ((1, 3, 5), (1, 2, 3), {(1, 1): "5,1", (2, 1): "4,1", (2, 2): "5,3",
+                            (6, 2): "1,3", (2, 3): "6,5", (3, 3): "5,5"}),
+])
+def test_subwall_presentation_follows_row_parity(rows, cols, want):
+    S = subwall(elementary_wall(5), rows, cols)
+    assert {c: S.branch_coords[c] for c in want} == want
 
 
 def test_subwall_basic():
@@ -121,6 +131,19 @@ def test_row_selection_parity():
     assert (1, 2, 3, 5, 6) not in valid5
     with pytest.raises(InputError):
         subwall(elementary_wall(7), (1, 2, 3, 5, 6), (1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("a, b, rows", [
+    ((1, 1), (2, 1), (1, 2, 3)),
+    ((1, 2), (2, 2), (2, 3, 4)),
+    ((3, 3), (4, 3), (1, 2, 3)),
+])
+def test_subwall_of_a_malformed_wall_is_an_input_error(a, b, rows):
+    W = elementary_wall(5)
+    branch = dict(W.branch_coords)
+    branch[a], branch[b] = branch[b], branch[a]
+    with pytest.raises(InputError):
+        subwall(Wall(5, branch, W.seg_paths), rows, (1, 2, 3))
 
 
 def test_subwall_enumeration_counts():
