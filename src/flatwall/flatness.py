@@ -21,7 +21,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from .errors import InputError, InternalError
 from .graph import Graph, cyclic_equal, is_separation, norm_edge, vkey
 from .painting import Painting, trace_normal_cycle, validate_painting
-from .rendition import Rendition, check_tightness, validate_rendition
+from .rendition import (Rendition, check_tightness, flap_union,
+                        validate_rendition)
 from .wall import (PegsCorners, Wall, elementary_wall, fresh_names,
                    subdivide_wall, temp_bricks, temp_corners, temp_degree,
                    temp_edges, temp_pegs, temp_perimeter, temp_vertices)
@@ -238,9 +239,13 @@ def cycle_runs(F: FlatnessPair, cyc: Sequence):
 
 
 def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
-    cyc = tuple(C.perimeter) if isinstance(C, Wall) else tuple(C)
-    key = ("classes", frozenset(norm_edge(cyc[i], cyc[(i + 1) % len(cyc)])
-                                for i in range(len(cyc))))
+    if isinstance(C, Wall):
+        cyc, edges = C.perimeter, C.perimeter_edges
+    else:
+        cyc = tuple(C)
+        edges = frozenset(norm_edge(cyc[i], cyc[(i + 1) % len(cyc)])
+                          for i in range(len(cyc)))
+    key = ("classes", edges)
     got = F._memo.get(key)
     if got is not None:
         return got
@@ -274,12 +279,7 @@ def influence(F: FlatnessPair, C: Cycle) -> Dict[object, Graph]:
 
 
 def influence_union(F: FlatnessPair, C: Cycle) -> Graph:
-    vs = set()
-    es = set()
-    for g in influence(F, C).values():
-        vs |= g.vertex_set
-        es |= g.edge_set
-    return Graph(vs, es)
+    return Graph(*flap_union(influence(F, C).values()))
 
 
 def is_regular(F: FlatnessPair) -> bool:
@@ -344,12 +344,7 @@ class _Builder:
                         self.outer)
 
     def pair(self) -> Tuple[Graph, FlatnessPair]:
-        vs = set()
-        es = set()
-        for g in self.sigma.values():
-            vs |= g.vertex_set
-            es |= g.edge_set
-        G = Graph(vs, es)
+        G = Graph(*flap_union(self.sigma.values()))
         compass = G
         if self.extra_edges:
             G = G.add_edges(self.extra_edges)

@@ -14,6 +14,11 @@ from .config import DEFAULT_LIMITS
 
 def vkey(v):
     # ints sort before strings; bools are not valid ids
+    t = type(v)
+    if t is int:
+        return (0, v, "")
+    if t is str:
+        return (1, 0, v)
     if isinstance(v, bool):
         raise InputError("boolean vertex id", witness=repr(v))
     if isinstance(v, int):
@@ -22,9 +27,21 @@ def vkey(v):
 
 
 def norm_edge(u, v) -> tuple:
+    t = type(u)
+    if t is type(v) and (t is int or t is str):
+        # two ids of one of these types sort by vkey as they sort natively
+        if u < v:
+            return (u, v)
+        if v < u:
+            return (v, u)
     if u == v:
         raise InputError("loop edge", witness=repr(u))
     return (u, v) if vkey(u) < vkey(v) else (v, u)
+
+
+def ekey(e) -> tuple:
+    """Sort key of a normalised edge."""
+    return (vkey(e[0]), vkey(e[1]))
 
 
 def cyclic_equal(a: Sequence, b: Sequence) -> bool:
@@ -43,11 +60,28 @@ def cyclic_equal(a: Sequence, b: Sequence) -> bool:
 
 
 class Graph:
-    """Immutable simple graph."""
+    """Immutable simple graph.
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    No vertex, edge or adjacency tuple changes after construction, so the
+    derived graphs (`subgraph`, `remove_vertices`, `remove_edges`, `union`)
+    are read off this graph's normalised edges and sorted adjacency tuples
+    instead of being built from scratch. One memo slot:
 
-    def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
+    - `_clean_boundary`: the boundary, as a vkey-sorted tuple, for which
+      `rendition.check_tightness` found this graph, as a flap, to satisfy
+      tightness conditions (ii) and (iii); None until then.
+    """
+
+    __slots__ = ("_vertices", "_edges", "_adj", "_clean_boundary")
+
+    def __init__(self, vertices: Iterable = (), edges: Iterable = (), *,
+                 _adj: Optional[Dict] = None):
+        self._clean_boundary = None
+        if _adj is not None:
+            # derived from a parent graph: frozensets of its normalised
+            # edges and vertices, and its adjacency tuples restricted to them
+            self._vertices, self._edges, self._adj = vertices, edges, _adj
+            return
         vs = set(vertices)
         es = set()
         for e in edges:
@@ -75,7 +109,7 @@ class Graph:
 
     @property
     def edges(self) -> Tuple:
-        return tuple(sorted(self._edges, key=lambda e: (vkey(e[0]), vkey(e[1]))))
+        return tuple(sorted(self._edges, key=ekey))
 
     @property
     def edge_set(self) -> FrozenSet:
@@ -118,19 +152,33 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def subgraph(self, vs: Iterable) -> "Graph":
-        vs = set(vs) & self._vertices
-        return Graph(vs, (e for e in self._edges if e[0] in vs and e[1] in vs))
+        keep = self._vertices.intersection(vs)
+        adj = {v: tuple(u for u in self._adj[v] if u in keep) for v in keep}
+        edges = self._edges
+        # each kept edge is met from both ends; one of the two is normalised
+        kept = frozenset(e for v, ns in adj.items() for u in ns
+                         if (e := (v, u)) in edges)
+        return Graph(keep, kept, _adj=adj)
 
     def union(self, other: "Graph") -> "Graph":
-        return Graph(self._vertices | other._vertices, self._edges | other._edges)
+        adj = dict(self._adj)
+        for v, ns in other._adj.items():
+            mine = adj.setdefault(v, ns)
+            if mine is not ns and mine != ns:
+                adj[v] = tuple(sorted(set(mine).union(ns), key=vkey))
+        return Graph(self._vertices | other._vertices,
+                     self._edges | other._edges, _adj=adj)
 
     def remove_vertices(self, vs: Iterable) -> "Graph":
-        vs = set(vs)
-        return self.subgraph(self._vertices - vs)
+        return self.subgraph(self._vertices.difference(vs))
 
     def remove_edges(self, edges: Iterable) -> "Graph":
-        es = {norm_edge(*e) for e in edges}
-        return Graph(self._vertices, self._edges - es)
+        drop = {norm_edge(*e) for e in edges} & self._edges
+        adj = dict(self._adj)
+        for u, v in drop:
+            adj[u] = tuple(w for w in adj[u] if w != v)
+            adj[v] = tuple(w for w in adj[v] if w != u)
+        return Graph(self._vertices, self._edges - drop, _adj=adj)
 
     def add_edges(self, edges: Iterable) -> "Graph":
         return Graph(self._vertices, set(self._edges) | {norm_edge(*e) for e in edges})

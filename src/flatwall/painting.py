@@ -39,12 +39,13 @@ class Painting:
     once, on first use, and kept on the object: the incidence rotation
     system (`rot`), the faces (`trace_faces`), the face of every dart
     (`_face_index`), the connected components (`_components`), the outer
-    face (`outer_face`) and the spokes with the faces on either side
-    (`_spokes`).
+    face (`outer_face`), the spokes with the faces on either side
+    (`_spokes`) and what `validate_painting` found (`_problems`).
     """
 
     __slots__ = ("nodes", "cells", "rotations", "outer", "_rot", "_faces",
-                 "_face_of", "_comps", "_outer_face", "_spoke_faces")
+                 "_face_of", "_comps", "_outer_face", "_spoke_faces",
+                 "_problems")
 
     def __init__(self, nodes, cells: Dict, rotations: Dict, outer: Sequence):
         self.nodes = tuple(sorted(nodes, key=str))
@@ -57,6 +58,7 @@ class Painting:
         self._comps = None
         self._outer_face = _UNSET
         self._spoke_faces = None
+        self._problems: Optional[Tuple[str, ...]] = None
 
     def boundary(self, cid) -> Tuple:
         return self.cells[cid]
@@ -209,6 +211,12 @@ def _find_outer_face(P: Painting):
 
 
 def validate_painting(P: Painting) -> List[str]:
+    if P._problems is None:
+        P._problems = tuple(_painting_problems(P))
+    return list(P._problems)
+
+
+def _painting_problems(P: Painting) -> List[str]:
     problems = []
     nodeset = set(P.nodes)
     if len(nodeset) != len(P.nodes):

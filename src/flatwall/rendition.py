@@ -9,16 +9,36 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .errors import InputError, InternalError
-from .graph import (Graph, articulation_points, cyclic_equal,
+from .graph import (Graph, articulation_points, cyclic_equal, ekey,
                     max_vertex_disjoint_paths, min_vertex_cut, vkey)
 from .painting import Painting, validate_painting
 from .wall import fresh_names
 
 
+def flap_union(flaps: Iterable[Graph]) -> Tuple[Set, Set]:
+    """The vertex set and the edge set of the union of some flaps."""
+    vs: Set = set()
+    es: Set = set()
+    for g in flaps:
+        vs |= g.vertex_set
+        es |= g.edge_set
+    return vs, es
+
+
 class Rendition:
+    """A painting with its flap map sigma and ground injection pi.
+
+    Immutable after construction: the painting, sigma, pi and omega are
+    never changed. It keeps no memo of its own; the verdict of tightness
+    conditions (ii) and (iii) on each flap is kept on the flap `Graph`
+    (see `check_tightness`), so renditions that share a flap under the
+    same boundary, as a tilt and its source do, check it once.
+    """
+
     __slots__ = ("painting", "sigma", "pi", "omega")
 
     def __init__(self, painting: Painting, sigma: Dict[object, Graph],
@@ -31,17 +51,8 @@ class Rendition:
     def pi_boundary(self, cid) -> FrozenSet:
         return frozenset(self.pi[x] for x in self.painting.cells[cid])
 
-    def is_trivial(self, cid) -> bool:
-        return self.pi_boundary(cid) == self.sigma[cid].vertex_set
-
     def union_graph(self) -> Graph:
-        vs = set()
-        es = set()
-        for cid in self.sigma:
-            g = self.sigma[cid]
-            vs |= g.vertex_set
-            es |= g.edge_set
-        return Graph(vs, es)
+        return Graph(*flap_union(self.sigma.values()))
 
     def key(self):
         """Structure up to cell-id renaming, for idempotence comparisons."""
@@ -69,38 +80,43 @@ def validate_rendition(G: Graph, R: Rendition) -> List[str]:
     if set(R.sigma) != set(P.cells):
         return problems + ["sigma must be defined on exactly the cells"]
 
-    union = R.union_graph()
-    if union.vertex_set != G.vertex_set or union.edge_set != G.edge_set:
-        missing_v = sorted(G.vertex_set - union.vertex_set, key=vkey)
-        missing_e = sorted(G.edge_set - union.edge_set)
-        extra_v = sorted(union.vertex_set - G.vertex_set, key=vkey)
-        extra_e = sorted(union.edge_set - G.edge_set)
+    union_v, union_e = flap_union(R.sigma.values())
+    if union_v != G.vertex_set or union_e != G.edge_set:
+        missing_v = sorted(G.vertex_set - union_v, key=vkey)
+        missing_e = sorted(G.edge_set - union_e)
+        extra_v = sorted(union_v - G.vertex_set, key=vkey)
+        extra_e = sorted(union_e - G.edge_set)
         problems.append(
             f"(c.1) union of flaps differs from the graph: "
             f"missing {missing_v + missing_e}, extra {extra_v + extra_e}")
 
-    seen_edges: Dict[Tuple, object] = {}
-    for cid in sorted(R.sigma, key=str):
-        for e in R.sigma[cid].edges:
-            if e in seen_edges:
-                problems.append(
-                    f"(c.2) edge {e} in both cells {seen_edges[e]} and {cid}")
-            seen_edges[e] = cid
+    cids = sorted(R.sigma, key=str)
+    if sum(g.m for g in R.sigma.values()) != len(union_e):
+        seen_edges: Dict[Tuple, object] = {}
+        for cid in cids:
+            for e in R.sigma[cid].edges:
+                if e in seen_edges:
+                    problems.append(f"(c.2) edge {e} in both cells "
+                                    f"{seen_edges[e]} and {cid}")
+                seen_edges[e] = cid
 
     owner: Dict[object, List] = {}
-    for cid in sorted(R.sigma, key=str):
+    for cid in cids:
         bnd = R.pi_boundary(cid)
         for x in P.cells[cid]:
             if R.pi[x] not in R.sigma[cid].vertex_set:
                 problems.append(
                     f"(c.3) cell {cid}: pi boundary vertex {R.pi[x]} missing from flap")
-        for v in R.sigma[cid].vertices:
+        for v in R.sigma[cid].vertex_set:
             owner.setdefault(v, []).append((cid, v in bnd))
-    for v, occ in owner.items():
-        if len(occ) > 1 and not all(b for _, b in occ):
-            cells = [c for c, _ in occ]
-            problems.append(
-                f"(c.4) vertex {v} shared by cells {cells} outside pi boundary")
+    pos = {cid: i for i, cid in enumerate(cids)}
+    shared = [v for v, occ in owner.items()
+              if len(occ) > 1 and not all(b for _, b in occ)]
+    # reported by first owning cell, then in vertex order within it
+    for v in sorted(shared, key=lambda v: (pos[owner[v][0][0]], vkey(v))):
+        cells = [c for c, _ in owner[v]]
+        problems.append(
+            f"(c.4) vertex {v} shared by cells {cells} outside pi boundary")
 
     outer_images = [R.pi[x] for x in P.outer]
     if set(outer_images) != set(R.omega):
@@ -125,53 +141,68 @@ class TightnessReport:
         return not any(self.violations.values())
 
 
+def _flap_faults(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
+    """Violations of conditions (ii) and (iii) by the flap g of cell cid
+    with the vkey-sorted boundary bnd. A clean verdict is kept on g; a
+    single edge is clean under any boundary among its ends, so it keeps
+    none."""
+    if g._clean_boundary == bnd or (g.n == 2 and g.m == 1
+                                    and g.vertex_set.issuperset(bnd)):
+        return [], []
+    ii, iii = [], []
+    comp_of = {}
+    for i, comp in enumerate(g.components()):
+        for v in comp:
+            comp_of[v] = i
+    for a, b in itertools.combinations(bnd, 2):
+        if comp_of.get(a) != comp_of.get(b):
+            ii.append((cid, a, b))
+            break
+    bset = set(bnd)
+    for comp in g.remove_vertices(bnd).components():
+        nb = {w for v in comp for w in g.neighbors(v) if w in bset}
+        if nb and nb != bset:
+            iii.append((cid, tuple(sorted(comp, key=vkey))))
+    if not ii and not iii:
+        g._clean_boundary = bnd
+    return ii, iii
+
+
 def check_tightness(G: Graph, R: Rendition) -> TightnessReport:
     rep = TightnessReport({k: [] for k in ("i", "ii", "iii", "iv", "v")})
     P = R.painting
     image = set(R.pi.values())
+    cids = sorted(R.sigma, key=str)
+    bnds = {cid: R.pi_boundary(cid) for cid in cids}
 
-    edge_cells = set()
-    for cid, g in R.sigma.items():
-        if g.n == 2 and g.m == 1:
-            edge_cells.add(g.edges[0])
-    for u, v in G.edges:
-        if u in image and v in image and (u, v) not in edge_cells:
-            rep.violations["i"].append((u, v))
+    edge_cells = {e for g in R.sigma.values() if g.n == 2 and g.m == 1
+                  for e in g.edge_set}
+    rep.violations["i"] = sorted(
+        (e for e in G.edge_set
+         if e[0] in image and e[1] in image and e not in edge_cells),
+        key=ekey)
 
-    for cid in sorted(R.sigma, key=str):
-        g = R.sigma[cid]
-        bnd = sorted(R.pi_boundary(cid), key=vkey)
-        comp_of = {}
-        for i, comp in enumerate(g.components()):
-            for v in comp:
-                comp_of[v] = i
-        for a, b in itertools.combinations(bnd, 2):
-            if comp_of.get(a) != comp_of.get(b):
-                rep.violations["ii"].append((cid, a, b))
-                break
-        inner = g.remove_vertices(bnd)
-        for comp in inner.components():
-            nb = set()
-            for v in comp:
-                nb.update(w for w in g.neighbors(v) if w in set(bnd))
-            if nb and nb != set(bnd):
-                rep.violations["iii"].append((cid, tuple(sorted(comp, key=vkey))))
+    for cid in cids:
+        ii, iii = _flap_faults(cid, R.sigma[cid],
+                               tuple(sorted(bnds[cid], key=vkey)))
+        rep.violations["ii"].extend(ii)
+        rep.violations["iii"].extend(iii)
 
     by_bnd: Dict[FrozenSet, List] = {}
-    for cid in sorted(R.sigma, key=str):
-        if not R.is_trivial(cid):
-            by_bnd.setdefault(R.pi_boundary(cid), []).append(cid)
-    for bnd, cids in by_bnd.items():
-        if len(cids) > 1:
-            rep.violations["iv"].append(tuple(cids))
+    for cid in cids:
+        if bnds[cid] != R.sigma[cid].vertex_set:
+            by_bnd.setdefault(bnds[cid], []).append(cid)
+    for shared in by_bnd.values():
+        if len(shared) > 1:
+            rep.violations["iv"].append(tuple(shared))
 
     omega_set = set(R.omega)
     if omega_set:
         # a 2-connected graph links any two boundary vertices to the outer
         # cycle by disjoint paths, so only arity-3 cells need a flow there
         two_conn = None
-        for cid in sorted(R.sigma, key=str):
-            bnd = R.pi_boundary(cid)
+        for cid in cids:
+            bnd = bnds[cid]
             k = len(P.cells[cid])
             if len(bnd & omega_set) >= k:
                 continue        # the boundary vertices themselves are paths

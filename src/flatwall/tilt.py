@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
-from .flatness import (FlatnessPair, classify_cells, cycle_runs,
-                       influence_union, is_regular, untidy_cells,
-                       validate_flatness)
+from .flatness import (FlatnessPair, classify_cells, cycle_runs, influence,
+                       is_regular, untidy_cells, validate_flatness)
 from .graph import Graph, max_vertex_disjoint_paths, norm_edge, vkey
 from .painting import Painting, validate_painting
-from .rendition import Rendition
+from .rendition import Rendition, flap_union
 from .wall import PegsCorners, Wall, fresh_names, is_tilt, temp_degree
 
 
@@ -409,9 +408,9 @@ def validate_tilt(G: Graph, F: FlatnessPair, Wp: Wall,
                     pair.rendition.sigma[cid].edge_set != \
                     F.rendition.sigma[cid].edge_set:
                 out.append(f"flap of internal cell {cid} changed")
-    U = influence_union(F, Wp)
-    comp = pair.compass()
-    if not (comp.vertex_set <= U.vertex_set and comp.edge_set <= U.edge_set):
+    inf_v, inf_e = flap_union(influence(F, Wp).values())
+    comp_v, comp_e = flap_union(pair.rendition.sigma.values())
+    if not (comp_v <= inf_v and comp_e <= inf_e):
         out.append("compass leaves the influence of the subwall")
     old_cells = set(F.rendition.painting.cells)
     for cid in pair.rendition.painting.cells:
@@ -544,9 +543,8 @@ def regularize(G: Graph, F: FlatnessPair) -> FlatnessPair:
         raise InternalError("regularization left an irregular pair")
     if out.wall.height != F.wall.height:
         raise InternalError("regularization changed the wall height")
-    old = F.compass()
-    new = out.compass()
-    if not (new.vertex_set <= old.vertex_set
-            and new.edge_set <= old.edge_set):
+    old_v, old_e = flap_union(F.rendition.sigma.values())
+    new_v, new_e = flap_union(out.rendition.sigma.values())
+    if not (new_v <= old_v and new_e <= old_e):
         raise InternalError("regularized compass grew")
     return out

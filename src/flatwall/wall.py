@@ -111,9 +111,21 @@ def _norm_cedge(a: Coord, b: Coord) -> Tuple[Coord, Coord]:
 
 
 class Wall:
-    """A subdivision of the elementary r-wall with explicit correspondence."""
+    """A subdivision of the elementary r-wall with explicit correspondence.
 
-    __slots__ = ("height", "branch_coords", "seg_paths", "_graph", "_vmap")
+    Immutable after construction: the height, the branch coordinates and
+    the subdivision paths are never changed. So what is derived from them
+    is computed once, on first use, and kept in `_memo`:
+
+    - "lines": the expanded rows and vertical paths (`horizontal_path`,
+      `vertical_path`);
+    - "perimeter", "perimeter_set", "perimeter_edges": D(W) as a cyclic
+      vertex sequence, its vertex set and its normalised edge set;
+    - "problems": what `validate` found.
+    """
+
+    __slots__ = ("height", "branch_coords", "seg_paths", "_graph", "_vmap",
+                 "_memo")
 
     def __init__(self, height: int, branch_coords: Dict[Coord, object],
                  seg_paths: Dict[Tuple[Coord, Coord], Sequence]):
@@ -126,6 +138,7 @@ class Wall:
             edges.extend(zip(p, p[1:]))
         self._graph = Graph(self.branch_coords.values(), edges)
         self._vmap = None
+        self._memo: Dict = {}
 
     @property
     def graph(self) -> Graph:
@@ -157,20 +170,44 @@ class Wall:
         walk = list(coords) + [coords[0]]
         return self.expand(walk)[:-1]
 
+    def _memoised(self, key: str, make):
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
+        return got
+
+    def _line(self, kind: int, i: int) -> Tuple:
+        """Row (kind 0) or vertical path (kind 1) number i, expanded."""
+        if not 1 <= i <= self.height:
+            raise InputError("wall line index out of range", witness=i)
+        r = self.height
+        lines = self._memoised("lines", lambda: (
+            tuple(self.expand(temp_hpath(r, j)) for j in range(1, r + 1)),
+            tuple(self.expand(temp_vpath(r, m)) for m in range(1, r + 1))))
+        return lines[kind][i - 1]
+
     def horizontal_path(self, j: int) -> Tuple:
-        return self.expand(temp_hpath(self.height, j))
+        return self._line(0, j)
 
     def vertical_path(self, m: int) -> Tuple:
-        return self.expand(temp_vpath(self.height, m))
+        return self._line(1, m)
 
     @property
     def perimeter(self) -> Tuple:
         """D(W) as a cyclic vertex sequence."""
-        return self.expand_cycle(temp_perimeter(self.height))
+        return self._memoised("perimeter", lambda: self.expand_cycle(
+            temp_perimeter(self.height)))
 
     @property
     def perimeter_set(self) -> FrozenSet:
-        return frozenset(self.perimeter)
+        return self._memoised("perimeter_set",
+                              lambda: frozenset(self.perimeter))
+
+    @property
+    def perimeter_edges(self) -> FrozenSet:
+        per = self.perimeter
+        return self._memoised("perimeter_edges", lambda: frozenset(
+            norm_edge(u, v) for u, v in zip(per, per[1:] + per[:1])))
 
     def bricks(self) -> List[Tuple]:
         return [self.expand_cycle(b) for b in temp_bricks(self.height)]
@@ -180,6 +217,10 @@ class Wall:
         return [b for b in self.bricks() if not (set(b) & per)]
 
     def validate(self) -> List[str]:
+        return list(self._memoised("problems",
+                                   lambda: tuple(self._problems())))
+
+    def _problems(self) -> List[str]:
         problems = []
         r = self.height
         tset = set(temp_vertices(r))
@@ -309,8 +350,12 @@ def subwall(W: Wall, rows: Sequence[int], cols: Sequence[int]) -> Wall:
     reversed) when rows[1] is odd, so that its vertical paths cross its
     even rows left to right. Each vertical path then starts where it leaves
     the bottom row, ends where it reaches the top row, and spans a middle
-    row between the two ends of its run along that row.
+    row between the two ends of its run along that row. W must pass
+    `Wall.validate`, which runs once per wall.
     """
+    bad = W.validate()
+    if bad:
+        raise InputError("subwall of a malformed wall", witness=bad)
     rows = sorted(set(rows))
     cols = sorted(set(cols))
     rp = len(rows)
@@ -387,21 +432,21 @@ def count_subwall_selections(r: int, rp: int) -> int:
 # -- interiors and tilts ---------------------------------------------------
 
 
-def interior(W: Wall) -> Graph:
+def _interior_sets(W: Wall) -> Tuple[FrozenSet, FrozenSet]:
     G = W.graph
-    per = W.perimeter
-    per_set = set(per)
-    per_edges = set()
-    cyc = list(per) + [per[0]]
-    for u, v in zip(cyc, cyc[1:]):
-        per_edges.add(norm_edge(u, v))
-    H = G.remove_edges(per_edges)
-    drop = {v for v in per_set if G.degree(v) == 2}
-    return H.remove_vertices(drop)
+    drop = {v for v in W.perimeter if G.degree(v) == 2}
+    return (G.vertex_set - drop,
+            frozenset(e for e in G.edge_set - W.perimeter_edges
+                      if e[0] not in drop and e[1] not in drop))
+
+
+def interior(W: Wall) -> Graph:
+    """W without its perimeter edges and its degree-2 perimeter vertices."""
+    return Graph(*_interior_sets(W))
 
 
 def is_tilt(W1: Wall, W2: Wall) -> bool:
-    return interior(W1) == interior(W2)
+    return _interior_sets(W1) == _interior_sets(W2)
 
 
 # -- skeleton embeddings: recognition, pegs and corners --------------------

@@ -9,11 +9,13 @@ from flatwall.flatness import (FlatnessPair, classify_cells, cycle_runs,
                                flaps, generate_fixture, influence,
                                influence_union, is_regular, short_edges,
                                untidy_cells, validate_flatness)
-from flatwall.graph import Graph
+from flatwall.graph import Graph, vkey
 from flatwall.painting import Painting, trace_normal_cycle
-from flatwall.rendition import Rendition
-from flatwall.wall import (choices_of_pegs_corners, enumerate_subwalls,
-                           temp_perimeter)
+from flatwall.rendition import Rendition, check_tightness
+from flatwall.tilt import compute_tilt
+from flatwall.wall import (Wall, choices_of_pegs_corners, enumerate_subwalls,
+                           interior, is_tilt, temp_hpath, temp_perimeter,
+                           temp_vpath)
 
 
 def test_base_fixture_valid_and_regular():
@@ -179,13 +181,47 @@ def test_classification_memoized():
     assert classify_cells(F, F.wall) is classify_cells(F, F.wall)
 
 
+def _cold_wall(W):
+    return Wall(W.height, W.branch_coords, W.seg_paths)
+
+
+def _cold_interior(W):
+    """interior(W) from scratch, by graph surgery on the wall."""
+    G = W.graph
+    per = W.expand_cycle(temp_perimeter(W.height))
+    H = G.remove_edges(zip(per, per[1:] + per[:1]))
+    return H.remove_vertices({v for v in per if G.degree(v) == 2})
+
+
+def _assert_wall_memos_match(W):
+    cold = _cold_wall(W)
+    r = W.height
+    for i in range(1, r + 1):
+        assert W.horizontal_path(i) == cold.expand(temp_hpath(r, i))
+        assert W.vertical_path(i) == cold.expand(temp_vpath(r, i))
+    per = cold.expand_cycle(temp_perimeter(r))
+    assert W.perimeter == per
+    assert W.perimeter_set == frozenset(per)
+    assert W.perimeter_edges == {tuple(sorted(e, key=vkey))
+                                 for e in zip(per, per[1:] + per[:1])}
+    assert W.validate() == cold.validate() == []
+    assert interior(W) == _cold_interior(cold)
+
+
 @pytest.mark.parametrize("seed, height, profile",
                          [(0, 7, "with-flaps"), (0, 5, "with-untidy")])
 def test_memoized_invariants_match_cold_copies(seed, height, profile):
     G, F = generate_fixture(seed, height, profile)
     R = F.rendition
     P = R.painting
-    for _, _, S in enumerate_subwalls(F.wall, 3):
+    H = G.subgraph(F.Y)
+    cold_R = Rendition(P, {c: Graph(g.vertices, g.edges)
+                           for c, g in R.sigma.items()}, R.pi, R.omega)
+    assert (check_tightness(H, R).violations
+            == check_tightness(H, cold_R).violations)
+    _assert_wall_memos_match(F.wall)
+    whole = _cold_interior(F.wall)
+    for i, (_, _, S) in enumerate(enumerate_subwalls(F.wall, 3)):
         cold_P = Painting(P.nodes, P.cells, P.rotations, P.outer)
         cold = FlatnessPair(F.wall, F.X, F.Y, F.pegs_corners,
                             Rendition(cold_P, R.sigma, R.pi, R.omega))
@@ -194,6 +230,13 @@ def test_memoized_invariants_match_cold_copies(seed, height, profile):
         assert (trace_normal_cycle(P, runs, flags)
                 == trace_normal_cycle(cold_P, runs, flags))
         assert untidy_cells(F) == untidy_cells(cold)
+        assert is_tilt(S, F.wall) == (_cold_interior(S) == whole)
+        if i % 40 == 0:
+            _assert_wall_memos_match(S)
+            T = compute_tilt(G, F, S).wall
+            assert is_tilt(T, S) and is_tilt(S, T)
+            assert is_tilt(T, S) == (_cold_interior(_cold_wall(T))
+                                     == _cold_interior(_cold_wall(S)))
 
 
 def test_validation_memo_ignores_recycled_graph_ids():

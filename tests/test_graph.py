@@ -9,7 +9,7 @@ from flatwall.errors import CapacityError, InputError, NoPathError
 from flatwall.graph import (Graph, TreeDecomposition, contract_matching,
                             exact_treewidth, is_separation,
                             max_vertex_disjoint_paths, min_fill_decomposition,
-                            min_vertex_cut, minor_model)
+                            min_vertex_cut, minor_model, norm_edge, vkey)
 
 import oracles
 
@@ -42,6 +42,69 @@ def test_basic_invariants():
     assert G.degree("b") == 2
     with pytest.raises(InputError):
         Graph((), [("a", "a")])
+
+
+def _general_vkey(v):
+    # the id order spelt out: ints by value, then everything else by str
+    if isinstance(v, bool):
+        raise InputError("boolean vertex id")
+    return (0, v, "") if isinstance(v, int) else (1, 0, str(v))
+
+
+def _same_graph(got, vs, es):
+    want = Graph(vs, es)
+    assert got == want and hash(got) == hash(want)
+    assert got.vertices == want.vertices and got.edges == want.edges
+    for v in want.vertices:
+        assert got.neighbors(v) == want.neighbors(v)
+
+
+_IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_IDS, min_size=1, max_size=12, unique=True), st.data())
+def test_derived_graphs_equal_fresh_builds(ids, data):
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    es = [e for e in data.draw(st.lists(pair, max_size=30)) if e[0] != e[1]]
+    G = Graph(ids, es)
+    for u, v in itertools.product(ids, ids):
+        want = sorted((u, v), key=_general_vkey)
+        assert vkey(u) == _general_vkey(u)
+        if u != v:
+            assert norm_edge(u, v) == tuple(want)
+    keep = data.draw(st.sets(st.sampled_from(ids)))
+    _same_graph(G.subgraph(keep), keep,
+                [e for e in G.edge_set if set(e) <= keep])
+    _same_graph(G.remove_vertices(keep), G.vertex_set - keep,
+                [e for e in G.edge_set if not set(e) & keep])
+    drop = data.draw(st.lists(pair, max_size=10))
+    drop = [e for e in drop if e[0] != e[1]]
+    gone = {frozenset(e) for e in drop}
+    _same_graph(G.remove_edges(drop), G.vertex_set,
+                [e for e in G.edge_set if frozenset(e) not in gone])
+    es2 = [e for e in data.draw(st.lists(pair, max_size=20)) if e[0] != e[1]]
+    H = Graph(data.draw(st.sets(st.sampled_from(ids))), es2)
+    _same_graph(G.union(H), G.vertex_set | H.vertex_set,
+                G.edge_set | H.edge_set)
+
+
+def test_bools_and_loops_are_rejected():
+    for bad in ((True, 1), (0, False), (True, "a")):
+        with pytest.raises(InputError):
+            norm_edge(*bad)
+        with pytest.raises(InputError):
+            Graph((), [bad])
+    with pytest.raises(InputError):
+        vkey(True)
+    for loop in ((3, 3), ("a", "a")):
+        with pytest.raises(InputError):
+            norm_edge(*loop)
+        with pytest.raises(InputError):
+            Graph((), [loop])
+    G = Graph((), [(1, 2)])
+    with pytest.raises(InputError):
+        G.remove_edges([(1, 1)])
 
 
 def test_is_separation_examples():

@@ -236,6 +236,24 @@ def test_cli_tilt_bad_selection(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_tilt_rejects_a_malformed_wall(tmp_path):
+    G, F = generate_fixture(3, 5, "with-flaps")
+    d = pair_to_json(G, F)
+    branch = d["wall"]["branch"]
+    # two branch vertices of the bottom row trade coordinates
+    (i, a), (j, b) = [(k, e) for k, e in enumerate(branch)
+                      if e[0] in ({"$t": [1, 1]}, {"$t": [2, 1]})]
+    branch[i], branch[j] = [a[0], b[1]], [b[0], a[1]]
+    path = tmp_path / "tampered.json"
+    write_bundle(path, CertificateBundle("flatness-pair", d))
+    res = runner.invoke(main, ["tilt", "--pair", str(path),
+                               "--subwall", "1,3,5x1,3,5"])
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)["error"]
+    assert err["message"] == "subwall of a malformed wall"
+    assert any("endpoints mismatch" in p for p in err["witness"])
+
+
 def test_cli_regularize(tmp_path):
     path, G, F = write_pair(tmp_path, 5, 5, "with-untidy")
     out = tmp_path / "reg.json"

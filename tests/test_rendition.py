@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall.errors import InputError
+from flatwall.flatness import generate_fixture
 from flatwall.graph import Graph
 from flatwall.painting import Painting
 from flatwall.rendition import (Rendition, check_tightness, tighten,
@@ -210,3 +211,62 @@ def test_tighten_rejects_invalid_input():
                     R.pi, R.omega)
     with pytest.raises(InputError):
         tighten(G, bad)
+
+
+def _star_renditions(flap):
+    """The star m-a, m-b, m-c as the flap of a 3-node cell on a, b, c
+    (tight) and of a 2-node cell on a, m (b and c violate (iii))."""
+    three = Rendition(
+        Painting(["x", "y", "z"], {"c1": ("x", "y", "z")},
+                 {n: ["c1"] for n in "xyz"}, ("x", "y", "z")),
+        {"c1": flap}, {"x": "a", "y": "b", "z": "c"}, ("a", "b", "c"))
+    two = Rendition(
+        Painting(["x", "y"], {"c1": ("x", "y")}, {n: ["c1"] for n in "xy"},
+                 ("x", "y")),
+        {"c1": flap}, {"x": "a", "y": "m"}, ("a", "m"))
+    return three, two
+
+
+def test_shared_flap_is_checked_under_each_boundary():
+    G = Graph((), [("m", "a"), ("m", "b"), ("m", "c")])
+    for first in (0, 1):
+        shared = _star_renditions(Graph(G.vertices, G.edges))
+        for i in (first, first, 1 - first, 1 - first, first):
+            cold = _star_renditions(Graph(G.vertices, G.edges))[i]
+            assert (check_tightness(G, shared[i]).violations
+                    == check_tightness(G, cold).violations)
+        assert check_tightness(G, shared[0]).is_tight
+        assert (check_tightness(G, shared[1]).status("iii")
+                == [("c1", ("b",)), ("c1", ("c",))])
+
+
+def test_single_edge_flap_missing_a_boundary_vertex_violates_ii():
+    G, R = ring_rendition([("c1", ("n1", "n4"), Graph((), [("v1", "h")]))])
+    assert check_tightness(G, R).status("ii") == [("c1", "v1", "v4")]
+
+
+def test_shared_flaps_are_checked_once(monkeypatch):
+    G, F = generate_fixture(0, 5, "with-flaps")
+    H = G.subgraph(F.Y)
+    R = F.rendition
+    searched = []
+    components = Graph.components
+
+    def counting(g):
+        if g is not H:
+            searched.append(g)
+        return components(g)
+
+    monkeypatch.setattr(Graph, "components", counting)
+    assert check_tightness(H, R).is_tight
+    searched.clear()
+    again = Rendition(R.painting, R.sigma, R.pi, R.omega)
+    assert check_tightness(H, again).is_tight
+    assert searched == []
+    cold = Rendition(R.painting, {c: Graph(g.vertices, g.edges)
+                                  for c, g in R.sigma.items()},
+                     R.pi, R.omega)
+    assert check_tightness(H, cold).is_tight
+    # a single-edge flap needs no search; any other one needs two
+    assert len(searched) == 2 * sum(1 for g in R.sigma.values() if g.m > 1)
+    assert searched

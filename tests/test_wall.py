@@ -188,6 +188,20 @@ def test_interior_and_tilts():
     assert not is_tilt(W, S2)
 
 
+def test_is_tilt_compares_interior_edges():
+    # trading the names of two interior branch vertices keeps the interior's
+    # vertex set but not its edges
+    W = elementary_wall(5)
+    a, b = W.branch_coords[(3, 2)], W.branch_coords[(6, 3)]
+    name = {a: b, b: a}
+    W2 = Wall(5, {c: name.get(v, v) for c, v in W.branch_coords.items()},
+              {k: tuple(name.get(v, v) for v in p)
+               for k, p in W.seg_paths.items()})
+    assert W2.validate() == []
+    assert interior(W).vertex_set == interior(W2).vertex_set
+    assert not is_tilt(W, W2) and not is_tilt(W2, W)
+
+
 @pytest.mark.parametrize("r", [3, 7])
 def test_pegs_corners_elementary(r):
     W = elementary_wall(r)
