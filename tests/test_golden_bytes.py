@@ -1,22 +1,35 @@
-"""Pinned canonical bytes of the search, the transforms and the driver.
+"""Pinned canonical bytes of the search, the transforms, the driver and
+tightening.
 
 The hashes were taken from the library before the tilt self-checks were
-memoised. A change that only makes the library faster or smaller must leave
-every one of them as it is; a deliberate format change updates them.
+memoised, and the tightening hash before `tighten` took its worklists from
+the detectors of `check_tightness`. A change that only makes the library
+faster or smaller must leave every one of them as it is; a deliberate
+format change updates them.
 """
 import hashlib
+import random
 
 import pytest
 
 from flatwall.config import unit_params
 from flatwall.flatness import generate_fixture
+from flatwall.graph import vkey
 from flatwall.homogeneity import example_coloring, find_homogeneous
 from flatwall.leveling import representation
 from flatwall.pipeline import (OracleAnswer, ScriptedOracle,
                                ScriptedTreewidthDecider, flat_wall_driver)
+from flatwall.rendition import check_tightness, tighten
 from flatwall.serialize import (canonical_bytes, outcome_to_json,
-                                pair_to_json, representation_to_json)
+                                pair_to_json, representation_to_json,
+                                rendition_to_json)
 from flatwall.tilt import regularize
+from flatwall.wall import choices_of_pegs_corners, elementary_wall
+
+from test_rendition import (ground_separator_rendition, random_chords,
+                            ring_rendition, separated_fan,
+                            shared_boundary_chords)
+from test_wall import random_subdivision
 
 
 def _sha(obj) -> str:
@@ -56,3 +69,33 @@ def test_driver_outcome_bytes(height, t, kind, digest):
                            ScriptedTreewidthDecider(["high", "default"], UP))
     assert out.kind == kind
     assert _sha(outcome_to_json(out)) == digest
+
+
+def _tightening(G, R):
+    notes = []
+    T = tighten(G, R, notes)
+    return [check_tightness(G, R).violations, rendition_to_json(T), notes,
+            check_tightness(G, T).violations]
+
+
+def test_tightening_bytes():
+    # the ring draws of criterion 1, then draws that violate (iv) and (v)
+    runs = [_tightening(*ring_rendition(random_chords(random.Random(s))))
+            for s in range(100)]
+    runs += [_tightening(*ring_rendition(
+        shared_boundary_chords(random.Random(s)))) for s in range(60)]
+    runs += [_tightening(*separated_fan(random.Random(s))) for s in range(60)]
+    runs.append(_tightening(*ground_separator_rendition()))
+    assert _sha(runs) == (
+        "ae270b9edbd1183a6500ffbaa0dada53ab21955d3bf39196f27e54f53297cd22")
+
+
+def test_pegs_corners_sequence_bytes():
+    # every choice in the order it is yielded, over walls with one skeleton
+    # embedding (heights 5, 7) and with several (height 3, subdivisions)
+    walls = [elementary_wall(r) for r in (3, 5, 7)]
+    walls += [random_subdivision(elementary_wall(3), s) for s in (7, 8)]
+    seqs = [[[sorted(pc.pegs, key=vkey), sorted(pc.corners, key=vkey)]
+             for pc in choices_of_pegs_corners(W)] for W in walls]
+    assert _sha(seqs) == (
+        "dff661749ad93c3ab94a2ed2f6262a35b5d118a275e70a6b4bb8c06f4a089ba2")

@@ -136,7 +136,8 @@ def test_condition_iv_detection_and_repair():
     assert_tight_and_faithful(G, R, T)
 
 
-def test_condition_v_detection_and_repair():
+def ground_separator_rendition():
+    """Omega is z-w; the cell c4 on x, y reaches it only through z."""
     G = Graph((), [("z", "w"), ("z", "x"), ("z", "y"),
                    ("x", "u"), ("u", "y")])
     P = Painting(
@@ -153,6 +154,11 @@ def test_condition_v_detection_and_repair():
                    "c4": Graph((), [("x", "u"), ("u", "y")])},
                   {"nz": "z", "nw": "w", "nx": "x", "ny": "y"},
                   ("z", "w"))
+    return G, R
+
+
+def test_condition_v_detection_and_repair():
+    G, R = ground_separator_rendition()
     assert validate_rendition(G, R) == []
     rep = check_tightness(G, R)
     assert "c4" in rep.status("v")
@@ -169,29 +175,91 @@ def test_idempotence_and_preservation():
     assert T1.key() == T2.key()
 
 
+CHORD_PAIRS = [("n1", "n4"), ("n2", "n5"), ("n3", "n6"), ("n1", "n3"),
+               ("n4", "n6")]
+
+
+def chord_flap(kind, bnd, idx):
+    """A chord flap between the images of the two nodes bnd: a path (0),
+    a path plus the direct edge (1), two pendant edges (2), a path with a
+    pendant path (3), or kind 2 or 3 plus an edge that meets no boundary
+    vertex (4, 5)."""
+    a = f"v{bnd[0][1:]}"
+    b = f"v{bnd[1][1:]}"
+    h = f"h{idx}"
+    g = f"g{idx}"
+    floating = [(f"f{idx}", f"k{idx}")] if kind >= 4 else []
+    if kind == 0:
+        return Graph((), [(a, h), (h, b)])
+    if kind == 1:
+        return Graph((), [(a, b), (a, h), (h, b)])
+    if kind in (2, 4):
+        return Graph((), [(a, h), (b, g)] + floating)
+    return Graph((), [(a, h), (h, b), (a, g), (g, f"q{idx}")] + floating)
+
+
 def random_chords(rng):
-    chords = []
     if rng.random() < 0.5:
-        pool = [rng.choice([("n1", "n4"), ("n2", "n5"), ("n3", "n6"),
-                            ("n1", "n3"), ("n4", "n6")])]
+        pool = [rng.choice(CHORD_PAIRS)]
     else:
         pool = [("n1", "n3"), ("n4", "n6")]   # disjoint, non-crossing
-    for idx, bnd in enumerate(pool):
-        a = f"v{bnd[0][1:]}"
-        b = f"v{bnd[1][1:]}"
-        kind = rng.randrange(4)
-        h = f"h{idx}"
-        if kind == 0:
-            flap = Graph((), [(a, h), (h, b)])
-        elif kind == 1:
-            flap = Graph((), [(a, b), (a, h), (h, b)])
-        elif kind == 2:
-            flap = Graph((), [(a, h), (b, f"g{idx}")])
-        else:
-            flap = Graph((), [(a, h), (h, b), (a, f"g{idx}"),
-                              (f"g{idx}", f"q{idx}")])
-        chords.append((f"c{idx}", bnd, flap))
-    return chords
+    return [(f"c{idx}", bnd, chord_flap(rng.randrange(4), bnd, idx))
+            for idx, bnd in enumerate(pool)]
+
+
+def shared_boundary_chords(rng):
+    """2-3 chords on one node pair, so the rendition violates (iv). At most
+    one flap holds the direct edge, which keeps the flaps edge-disjoint."""
+    bnd = rng.choice(CHORD_PAIRS)
+    kinds = []
+    for _ in range(rng.choice((2, 3))):
+        kinds.append(rng.choice([k for k in range(6)
+                                 if k != 1 or 1 not in kinds]))
+    return [(f"c{idx}", bnd, chord_flap(kind, bnd, idx))
+            for idx, kind in enumerate(kinds)]
+
+
+def separated_fan(rng):
+    """Omega is z-w, and 2-4 ground vertices x1.. hang off z alone.
+
+    z joins each xi by a spoke cell (an edge, or a path through pi), or,
+    for two of them, by one star cell through p. Consecutive xi share a
+    rim cell: an edge, a path through ui, that path with a pendant edge,
+    or the path plus the edge. Every rim cell reaches Omega only through
+    the ground vertex z (or through p), so it violates (v).
+    """
+    star = rng.random() < 0.25
+    xs = [f"x{i}" for i in range(1, (2 if star else rng.randrange(2, 5)) + 1)]
+    cells = {"e1": ("nz", "nw")}
+    sigma = {"e1": Graph((), [("z", "w")])}
+    rot = {"nz": ["e1"], "nw": ["e1"], **{f"n{x}": [] for x in xs}}
+    if star:
+        cells["s"] = ("nz", "nx1", "nx2")
+        sigma["s"] = Graph((), [("z", "p"), ("p", "x1"), ("p", "x2")])
+        for n in cells["s"]:
+            rot[n].append("s")
+    else:
+        for i, x in enumerate(xs, 1):
+            cells[f"s{i}"] = ("nz", f"n{x}")
+            sigma[f"s{i}"] = (Graph((), [("z", x)]) if rng.random() < 0.5
+                              else Graph((), [("z", f"p{i}"), (f"p{i}", x)]))
+            rot["nz"].append(f"s{i}")
+            rot[f"n{x}"].append(f"s{i}")
+    for i, (a, b) in enumerate(zip(xs, xs[1:]), 1):
+        u = f"u{i}"
+        sigma[f"d{i}"] = [Graph((), [(a, b)]),
+                          Graph((), [(a, u), (u, b)]),
+                          Graph((), [(a, u), (u, b), (u, f"q{i}")]),
+                          Graph((), [(a, b), (a, u), (u, b)])][rng.randrange(4)]
+        cells[f"d{i}"] = (f"n{a}", f"n{b}")
+        rot[f"n{a}"].append(f"d{i}")
+        rot[f"n{b}"].append(f"d{i}")
+    pi = {"nz": "z", "nw": "w", **{f"n{x}": x for x in xs}}
+    G = Graph((), ())
+    for g in sigma.values():
+        G = G.union(g)
+    return G, Rendition(Painting(list(pi), cells, rot, ("nz", "nw")),
+                        sigma, pi, ("z", "w"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,3 +338,30 @@ def test_shared_flaps_are_checked_once(monkeypatch):
     # a single-edge flap needs no search; any other one needs two
     assert len(searched) == 2 * sum(1 for g in R.sigma.values() if g.m > 1)
     assert searched
+
+
+def test_shared_boundaries_are_merged():
+    for seed in range(60):
+        G, R = ring_rendition(shared_boundary_chords(random.Random(seed)))
+        assert validate_rendition(G, R) == []
+        assert check_tightness(G, R).status("iv")
+        T = tighten(G, R)
+        assert_tight_and_faithful(G, R, T)
+        assert tighten(G, T).key() == T.key()
+
+
+def test_ground_separators_are_repaired():
+    # every draw violates (v) and comes out tight, and only the (v) repair
+    # merges the cells behind a separator; some draws first meet a
+    # separator through the star's interior and note it
+    noted = 0
+    for seed in range(60):
+        G, R = separated_fan(random.Random(seed))
+        assert validate_rendition(G, R) == []
+        assert check_tightness(G, R).status("v")
+        notes = []
+        T = tighten(G, R, notes)
+        assert_tight_and_faithful(G, R, T)
+        assert tighten(G, T).key() == T.key()
+        noted += bool(notes)
+    assert noted
