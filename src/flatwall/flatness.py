@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from .errors import InputError, InternalError
 from .graph import Graph, cyclic_equal, is_separation, norm_edge, vkey
@@ -104,23 +105,22 @@ def short_edges(F: FlatnessPair) -> FrozenSet:
     return frozenset(f.graph.edges[0] for f in flaps(F).values() if f.trivial)
 
 
+def untidy_vertices(F: FlatnessPair, cid) -> Set:
+    """The ground vertices of cell cid's boundary at which its flap holds
+    two or more wall edges; the cell is untidy if there is one."""
+    g = F.rendition.sigma[cid]
+    wedges = F.wall.graph.edge_set
+    return {v for v in F.rendition.pi_boundary(cid) if v in g and sum(
+        1 for u in g.neighbors(v) if norm_edge(u, v) in wedges) >= 2}
+
+
 def untidy_cells(F: FlatnessPair) -> FrozenSet:
     """Cells hiding two wall edges at one ground vertex of their boundary."""
     got = F._memo.get("untidy")
-    if got is not None:
-        return got
-    wedges = F.wall.graph.edge_set
-    out = set()
-    for cid, g in F.rendition.sigma.items():
-        for v in F.rendition.pi_boundary(cid):
-            if v not in g:
-                continue
-            hits = sum(1 for u in g.neighbors(v) if norm_edge(u, v) in wedges)
-            if hits >= 2:
-                out.add(cid)
-                break
-    F._memo["untidy"] = frozenset(out)
-    return F._memo["untidy"]
+    if got is None:
+        got = F._memo["untidy"] = frozenset(
+            cid for cid in F.rendition.sigma if untidy_vertices(F, cid))
+    return got
 
 
 # -- validation ------------------------------------------------------------

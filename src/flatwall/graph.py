@@ -68,8 +68,9 @@ class Graph:
     instead of being built from scratch. One memo slot:
 
     - `_clean_boundary`: the boundary, as a vkey-sorted tuple, for which
-      `rendition.check_tightness` found this graph, as a flap, to satisfy
-      tightness conditions (ii) and (iii); None until then.
+      `rendition._flap_faults` (behind `check_tightness` and `tighten`)
+      found this graph, as a flap, to satisfy tightness conditions (ii)
+      and (iii); None until then.
     """
 
     __slots__ = ("_vertices", "_edges", "_adj", "_clean_boundary")

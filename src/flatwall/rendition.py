@@ -2,8 +2,10 @@
 
 A rendition couples a painting with a flap map sigma (cell to subgraph) and
 a ground injection pi (node to vertex), checked against a boundary cyclic
-order Omega. This module validates the defining conditions, checks the five
-tightness conditions, and implements the constructive tightening pass.
+order Omega. This module validates the defining conditions and detects each
+of the five tightness conditions in one private detector: `check_tightness`
+reports what the detectors find, and each step of the constructive pass
+`tighten` repairs what its condition's detector finds.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ class Rendition:
     Immutable after construction: the painting, sigma, pi and omega are
     never changed. It keeps no memo of its own; the verdict of tightness
     conditions (ii) and (iii) on each flap is kept on the flap `Graph`
-    (see `check_tightness`), so renditions that share a flap under the
+    (see `_flap_faults`), so renditions that share a flap under the
     same boundary, as a tilt and its source do, check it once.
     """
 
@@ -141,6 +143,17 @@ class TightnessReport:
         return not any(self.violations.values())
 
 
+def _loose_edges(G: Graph, R: Rendition) -> List[Tuple]:
+    """Condition (i): the edges of G between two ground vertices that are
+    not the whole flap of a cell, in ekey order."""
+    image = set(R.pi.values())
+    edge_cells = {e for g in R.sigma.values() if g.n == 2 and g.m == 1
+                  for e in g.edge_set}
+    return sorted((e for e in G.edge_set
+                   if e[0] in image and e[1] in image and e not in edge_cells),
+                  key=ekey)
+
+
 def _flap_faults(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
     """Violations of conditions (ii) and (iii) by the flap g of cell cid
     with the vkey-sorted boundary bnd. A clean verdict is kept on g; a
@@ -168,53 +181,62 @@ def _flap_faults(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
     return ii, iii
 
 
-def check_tightness(G: Graph, R: Rendition) -> TightnessReport:
-    rep = TightnessReport({k: [] for k in ("i", "ii", "iii", "iv", "v")})
-    P = R.painting
-    image = set(R.pi.values())
-    cids = sorted(R.sigma, key=str)
-    bnds = {cid: R.pi_boundary(cid) for cid in cids}
+def _flaps_at_fault(R: Rendition, bnds: Dict) -> Tuple[List, List]:
+    """Conditions (ii) and (iii) over all cells, in cell order."""
+    ii, iii = [], []
+    for cid, bnd in bnds.items():
+        faults = _flap_faults(cid, R.sigma[cid], tuple(sorted(bnd, key=vkey)))
+        ii += faults[0]
+        iii += faults[1]
+    return ii, iii
 
-    edge_cells = {e for g in R.sigma.values() if g.n == 2 and g.m == 1
-                  for e in g.edge_set}
-    rep.violations["i"] = sorted(
-        (e for e in G.edge_set
-         if e[0] in image and e[1] in image and e not in edge_cells),
-        key=ekey)
 
-    for cid in cids:
-        ii, iii = _flap_faults(cid, R.sigma[cid],
-                               tuple(sorted(bnds[cid], key=vkey)))
-        rep.violations["ii"].extend(ii)
-        rep.violations["iii"].extend(iii)
-
+def _shared_boundaries(R: Rendition, bnds: Dict) -> List[Tuple]:
+    """Condition (iv): the groups of two or more cells, each in cell order,
+    whose flaps reach beyond one and the same boundary."""
     by_bnd: Dict[FrozenSet, List] = {}
-    for cid in cids:
-        if bnds[cid] != R.sigma[cid].vertex_set:
-            by_bnd.setdefault(bnds[cid], []).append(cid)
-    for shared in by_bnd.values():
-        if len(shared) > 1:
-            rep.violations["iv"].append(tuple(shared))
+    for cid, bnd in bnds.items():
+        if bnd != R.sigma[cid].vertex_set:
+            by_bnd.setdefault(bnd, []).append(cid)
+    return [tuple(cids) for cids in by_bnd.values() if len(cids) > 1]
 
+
+def _unlinked_cells(G: Graph, R: Rendition, bnds: Dict) -> List:
+    """Condition (v): the cells whose boundary G cannot link to the outer
+    cycle by one disjoint path per boundary node, in cell order."""
     omega_set = set(R.omega)
-    if omega_set:
-        # a 2-connected graph links any two boundary vertices to the outer
-        # cycle by disjoint paths, so only arity-3 cells need a flow there
-        two_conn = None
-        for cid in cids:
-            bnd = bnds[cid]
-            k = len(P.cells[cid])
-            if len(bnd & omega_set) >= k:
-                continue        # the boundary vertices themselves are paths
-            if k <= 2 and len(omega_set) >= 2:
-                if two_conn is None:
-                    two_conn = (G.n >= 3 and G.connected()
-                                and not articulation_points(G))
-                if two_conn:
-                    continue
-            if len(max_vertex_disjoint_paths(G, bnd, omega_set)) < k:
-                rep.violations["v"].append(cid)
-    return rep
+    if not omega_set:
+        return []
+    out = []
+    # a 2-connected graph links any two boundary vertices to the outer
+    # cycle by disjoint paths, so only arity-3 cells need a flow there
+    two_conn = None
+    for cid, bnd in bnds.items():
+        k = len(R.painting.cells[cid])
+        if len(bnd & omega_set) >= k:
+            continue            # the boundary vertices themselves are paths
+        if k <= 2 and len(omega_set) >= 2:
+            if two_conn is None:
+                two_conn = (G.n >= 3 and G.connected()
+                            and not articulation_points(G))
+            if two_conn:
+                continue
+        if len(max_vertex_disjoint_paths(G, bnd, omega_set)) < k:
+            out.append(cid)
+    return out
+
+
+def _boundaries(R: Rendition) -> Dict:
+    """Each cell's pi-boundary, in cell order."""
+    return {cid: R.pi_boundary(cid) for cid in sorted(R.sigma, key=str)}
+
+
+def check_tightness(G: Graph, R: Rendition) -> TightnessReport:
+    bnds = _boundaries(R)
+    ii, iii = _flaps_at_fault(R, bnds)
+    return TightnessReport({"i": _loose_edges(G, R), "ii": ii, "iii": iii,
+                            "iv": _shared_boundaries(R, bnds),
+                            "v": _unlinked_cells(G, R, bnds)})
 
 
 # -- tightening ------------------------------------------------------------
@@ -280,17 +302,14 @@ class _Work:
                             witness=old)
 
 
-def _step_i(G: Graph, w: _Work) -> bool:
+def _step_i(w: _Work, loose: List[Tuple]) -> bool:
+    """Move each loose edge (condition (i)) into a cell of its own."""
     image = {v: x for x, v in w.pi.items()}
+    todo = set(loose)
     changed = False
     for cid in sorted(w.cells, key=str):
         g = w.sigma[cid]
-        if g.n <= 2:
-            continue
-        extracted = []
-        for u, v in g.edges:
-            if u in image and v in image:
-                extracted.append((u, v))
+        extracted = sorted(g.edge_set & todo, key=ekey)
         if not extracted:
             continue
         new = {}
@@ -307,12 +326,8 @@ def _step_i(G: Graph, w: _Work) -> bool:
         if not new:
             continue
         changed = True
-        extracted = list(boundary_map.values())
-        keep = g.remove_edges(extracted)
-        survivors = dict(new)
-        survivors[cid] = w.cells[cid]
-        w.replace_cell(cid, survivors)
-        w.sigma[cid] = keep
+        w.replace_cell(cid, {**new, cid: w.cells[cid]})
+        w.sigma[cid] = g.remove_edges(boundary_map.values())
         for nid, (u, v) in boundary_map.items():
             w.sigma[nid] = Graph((), [(u, v)])
             for x in (image[u], image[v]):
@@ -323,116 +338,59 @@ def _step_i(G: Graph, w: _Work) -> bool:
     return changed
 
 
-def _components_with_boundary(g: Graph, bnd: FrozenSet):
-    out = []
-    for comp in g.components():
-        out.append((comp, frozenset(v for v in comp if v in bnd)))
-    return sorted(out, key=lambda t: [vkey(v) for v in sorted(t[0], key=vkey)])
+def _attachments(g: Graph, bnd: FrozenSet) -> List[Set]:
+    """The components of g minus bnd, grouped by the boundary vertices they
+    see; each group holds those vertices too."""
+    classes: Dict[FrozenSet, Set] = {}
+    for comp in g.remove_vertices(bnd).components():
+        nb = frozenset(x for v in comp for x in g.neighbors(v) if x in bnd)
+        classes.setdefault(nb, set(nb)).update(comp)
+    return list(classes.values())
 
 
-def _step_ii(w: _Work) -> bool:
-    changed = False
-    for cid in sorted(w.cells, key=str):
-        g = w.sigma[cid]
-        bnd = frozenset(w.pi[x] for x in w.cells[cid])
-        comps = _components_with_boundary(g, bnd)
-        keys = {k for _, k in comps}
-        if len(keys - {frozenset()}) <= 1:
-            continue
-        changed = True
-        groups: Dict[FrozenSet, List] = {}
-        for comp, k in comps:
-            groups.setdefault(k, []).append(comp)
-        floaters = groups.pop(frozenset(), [])
-        if not groups:
-            raise InternalError("cell with no boundary-attached component",
-                                witness=cid)
-        ordered = sorted(groups, key=lambda k: [vkey(v) for v in sorted(k, key=vkey)])
-        # components missing the boundary ride along with the first class
-        groups[ordered[0]].extend(floaters)
-        new = {}
-        sigmas = {}
-        for k in ordered:
-            nid = w.fresh()
-            verts = set().union(*groups[k])
-            sigmas[nid] = g.subgraph(verts)
-            new[nid] = tuple(x for x in w.cells[cid] if w.pi[x] in k)
-        w.replace_cell(cid, new)
-        del w.sigma[cid]
-        w.sigma.update(sigmas)
-    return changed
+def _split_cell(w: _Work, cid, classes: List[Set]):
+    """Replace cell cid by one cell per class of its flap's vertices, on
+    the boundary nodes whose images the class holds; the new cells follow
+    the vkey order of those images. A class that holds no boundary vertex
+    joins the first one."""
+    g = w.sigma[cid]
+    bnd = frozenset(w.pi[x] for x in w.cells[cid])
+    attached = sorted(
+        (c for c in classes if not bnd.isdisjoint(c)),
+        key=lambda c: [vkey(v) for v in sorted(bnd & c, key=vkey)])
+    if bnd - set().union(*attached):
+        raise InternalError("boundary vertex in no class", witness=cid)
+    attached[0] = attached[0].union(*(c for c in classes
+                                      if bnd.isdisjoint(c)))
+    new = {}
+    for c in attached:
+        nid = w.fresh()
+        w.sigma[nid] = g.subgraph(c)
+        new[nid] = tuple(x for x in w.cells[cid] if w.pi[x] in c)
+    w.replace_cell(cid, new)
+    del w.sigma[cid]
 
 
-def _step_iii(w: _Work) -> bool:
-    changed = False
-    for cid in sorted(w.cells, key=str):
-        g = w.sigma[cid]
-        bnd = frozenset(w.pi[x] for x in w.cells[cid])
-        inner = g.remove_vertices(bnd)
-        classes: Dict[FrozenSet, List] = {}
-        for comp in inner.components():
-            nb = frozenset(x for v in comp for x in g.neighbors(v) if x in bnd)
-            classes.setdefault(nb, []).append(comp)
-        keys = set(classes)
-        if keys <= {frozenset(), bnd}:
-            continue
-        changed = True
-        floaters = classes.pop(frozenset(), [])
-        ordered = sorted(classes, key=lambda k: [vkey(v) for v in sorted(k, key=vkey)])
-        if not ordered:
-            raise InternalError("flap detached from its boundary", witness=cid)
-        classes[ordered[0]].extend(floaters)
-        new = {}
-        sigmas = {}
-        for k in ordered:
-            nid = w.fresh()
-            verts = set(k)
-            for comp in classes[k]:
-                verts |= comp
-            sigmas[nid] = g.subgraph(verts)
-            new[nid] = tuple(x for x in w.cells[cid] if w.pi[x] in k)
-        placed = set().union(*ordered)
-        if bnd - placed:
-            # boundary vertices are always reached via some inner component
-            # once direct edges have been split off
-            raise InternalError("boundary vertex in no neighborhood class",
-                                witness=cid)
-        w.replace_cell(cid, new)
-        del w.sigma[cid]
-        w.sigma.update(sigmas)
-    return changed
-
-
-def _step_iv(w: _Work) -> bool:
-    changed = False
-    by_bnd: Dict[FrozenSet, List] = {}
-    for cid in sorted(w.cells, key=str):
-        bnd = frozenset(w.pi[x] for x in w.cells[cid])
-        if bnd != w.sigma[cid].vertex_set:
-            by_bnd.setdefault(bnd, []).append(cid)
-    for bnd, cids in sorted(by_bnd.items(), key=lambda kv: str(kv[1])):
-        if len(cids) < 2:
-            continue
-        changed = True
-        keep, rest = cids[0], cids[1:]
+def _step_iv(w: _Work, groups: List[Tuple]) -> bool:
+    """Merge each group of cells on one boundary (condition (iv)) into its
+    first cell."""
+    for keep, *rest in groups:
         for other in rest:
             w.sigma[keep] = w.sigma[keep].union(w.sigma[other])
             w.drop_cell(other)
-    return changed
+    return bool(groups)
 
 
-def _step_v(G: Graph, w: _Work, report: List[str]) -> bool:
+def _step_v(G: Graph, w: _Work, unlinked: List, report: List[str]) -> bool:
+    """Collapse what a ground separator cuts off from the outer cycle
+    behind each cell in unlinked (condition (v)) into one cell; a
+    separator through flap interiors is noted and left."""
     changed = False
     omega_set = set(w.omega)
-    if not omega_set:
-        return False
-    for cid in sorted(w.cells, key=str):
+    for cid in unlinked:
         if cid not in w.cells:
             continue
         bnd = frozenset(w.pi[x] for x in w.cells[cid])
-        k = len(w.cells[cid])
-        if len(max_vertex_disjoint_paths(G, bnd, omega_set)) >= k:
-            continue
         cut = min_vertex_cut(G, bnd, omega_set)
         image = {v: x for x, v in w.pi.items()}
         if not cut or any(v not in image for v in cut):
@@ -440,12 +398,8 @@ def _step_v(G: Graph, w: _Work, report: List[str]) -> bool:
                           "separator passes through flap interiors")
             continue
         # everything cut off from the boundary cycle collapses into one cell
-        H = G.remove_vertices(cut)
-        far = set()
-        for comp in H.components():
-            if not (comp & omega_set):
-                far.add(frozenset(comp))
-        lost = set(cut) | set().union(*far) if far else set(cut)
+        lost = set(cut).union(*(c for c in G.remove_vertices(cut).components()
+                                if not c & omega_set))
         members = [c for c in sorted(w.cells, key=str)
                    if w.sigma[c].vertex_set <= lost]
         if cid not in members:
@@ -481,18 +435,33 @@ def _step_v(G: Graph, w: _Work, report: List[str]) -> bool:
 
 
 def tighten(G: Graph, R: Rendition, report: Optional[List[str]] = None) -> Rendition:
-    """Constructive tightening; the optional report collects best-effort notes."""
+    """Repair what `check_tightness` reports, condition by condition, until
+    nothing changes. Best effort: a condition (v) separator through flap
+    interiors is left as it is, with a note in the optional report."""
     bad = validate_rendition(G, R)
     if bad:
         raise InputError("tighten needs a valid rendition", witness=bad)
     notes = report if report is not None else []
     w = _Work(R)
     for _ in range(12):
-        changed = _step_i(G, w)
-        changed |= _step_ii(w)
-        changed |= _step_iii(w)
-        changed |= _step_iv(w)
-        changed |= _step_v(G, w, notes)
+        # each step repairs what its condition's detector finds on the
+        # rendition as the step before left it
+        changed = _step_i(w, _loose_edges(G, w.rendition()))
+        # (ii) splits a flap into its components, (iii) into the parts of
+        # the flap minus its boundary that see the same boundary vertices
+        for fault, classes in ((0, lambda g, bnd: g.components()),
+                               (1, _attachments)):
+            R1 = w.rendition()
+            bnds = _boundaries(R1)
+            at_fault = _flaps_at_fault(R1, bnds)[fault]
+            for cid in dict.fromkeys(f[0] for f in at_fault):
+                _split_cell(w, cid, classes(w.sigma[cid], bnds[cid]))
+            changed |= bool(at_fault)
+        R1 = w.rendition()
+        changed |= _step_iv(w, _shared_boundaries(R1, _boundaries(R1)))
+        R1 = w.rendition()
+        changed |= _step_v(G, w, _unlinked_cells(G, R1, _boundaries(R1)),
+                           notes)
         if not changed:
             break
     else:

@@ -19,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
 from .flatness import (FlatnessPair, classify_cells, cycle_runs, influence,
-                       is_regular, untidy_cells, validate_flatness)
+                       is_regular, untidy_cells, untidy_vertices,
+                       validate_flatness)
 from .graph import Graph, max_vertex_disjoint_paths, norm_edge, vkey
 from .painting import Painting, validate_painting
 from .rendition import Rendition, flap_union
@@ -456,12 +457,10 @@ def _repair_one(G: Graph, F: FlatnessPair, cid) -> FlatnessPair:
         raise InputError("untidy cell without a 3-point boundary",
                          witness=cid)
     W = F.wall
-    wedges = W.graph.edge_set
-    zs = [v for v in sorted(bnd, key=vkey)
-          if sum(1 for u in g.neighbors(v) if norm_edge(u, v) in wedges) >= 2]
+    zs = untidy_vertices(F, cid)
     if len(zs) != 1:
         raise InputError("cell is not untidy at a unique vertex", witness=cid)
-    z = zs[0]
+    (z,) = zs
     x, y = sorted(bnd - {z}, key=vkey)
     pbar = _wall_path_in_cell(F, cid)
     if pbar[0] not in (x, y) or pbar[-1] not in (x, y) or z not in pbar[1:-1]:

@@ -652,34 +652,61 @@ def recognize_wall(G: Graph, r: int) -> Optional[Wall]:
     return W
 
 
+def _ranks(tarcs, tcoord, corners, amap) -> List[Tuple]:
+    """Per template arc: the inner vertices of its host arc under the
+    skeleton embedding amap, and which inner template vertices are
+    corners."""
+    return [(amap[t][1:-1], tuple(tcoord[v] in corners for v in t[1:-1]))
+            for t in tarcs]
+
+
+def _admits(ranks, pc: PegsCorners) -> bool:
+    """Whether an embedding with these ranks places the degree-2 template
+    vertices, which are all pegs, on pc, given that pc has as many pegs and
+    corners as the template: each host arc holds as many pegs as its
+    template arc has inner vertices, with the corners at the same ranks."""
+    return all(tuple(h in pc.corners for h in inner if h in pc.pegs) == flags
+               for inner, flags in ranks)
+
+
+def admits_pegs_corners(W: Wall, pc: PegsCorners) -> bool:
+    """Whether some elementary presentation of W has pegs and corners pc."""
+    r = W.height
+    tb, tarcs, tcoord = _template_skeleton(r)
+    corners = set(temp_corners(r))
+    if (len(pc.pegs), len(pc.corners)) != (len(temp_pegs(r)), len(corners)):
+        return False
+    return any(_admits(_ranks(tarcs, tcoord, corners, amap), pc)
+               for _vmap, amap in _skeleton_embeddings(
+                   tb, tarcs, *_suppressed(W.graph)))
+
+
 def choices_of_pegs_corners(W: Wall, limit: Optional[int] = None):
-    """Enumerate (P, C) pairs over all elementary presentations, deduped."""
+    """Enumerate (P, C) pairs over all elementary presentations, deduped.
+
+    Every degree-2 template vertex is a peg, so within one skeleton
+    embedding every placement of them gives its own pair. A pair is yielded
+    from the first embedding that admits it; only the embeddings are kept,
+    not the pairs.
+    """
     limit = DEFAULT_LIMITS.pegs_enum if limit is None else limit
     if W.graph.n > limit:
         raise CapacityError("pegs/corners enumeration over desk limit",
                             witness=W.graph.n)
-    r = W.height
-    tb, tarcs, tcoord = _template_skeleton(r)
-    wb, warcs = _suppressed(W.graph)
-    peg_coords = temp_pegs(r)
-    corner_coords = temp_corners(r)
-
-    emitted = set()
-    for _vmap, amap in _skeleton_embeddings(tb, tarcs, wb, warcs):
-        # per template arc, spread its degree-2 template vertices over the
+    tb, tarcs, tcoord = _template_skeleton(W.height)
+    corners = set(temp_corners(W.height))
+    seen = []
+    for _vmap, amap in _skeleton_embeddings(tb, tarcs, *_suppressed(W.graph)):
+        ranks = _ranks(tarcs, tcoord, corners, amap)
+        # per template arc, spread its inner template vertices over the
         # host arc's inner vertices, order preserving
-        per_arc_options = []
-        for tarc in tarcs:
-            t_int = [tcoord[v] for v in tarc[1:-1]]
-            h_int = amap[tarc][1:-1]
-            per_arc_options.append([
-                [(c, h_int[p]) for c, p in zip(t_int, picks)]
-                for picks in itertools.combinations(range(len(h_int)),
-                                                    len(t_int))])
-        for combo in itertools.product(*per_arc_options):
-            placed = dict(kv for part in combo for kv in part)
-            key = (frozenset(placed[c] for c in peg_coords),
-                   frozenset(placed[c] for c in corner_coords))
-            if key not in emitted:
-                emitted.add(key)
-                yield PegsCorners(*key)
+        for combo in itertools.product(*(
+                itertools.combinations(inner, len(flags))
+                for inner, flags in ranks)):
+            pc = PegsCorners(
+                frozenset(h for part in combo for h in part),
+                frozenset(h for part, (_inner, flags) in zip(combo, ranks)
+                          for h, corner in zip(part, flags) if corner))
+            if not any(_admits(earlier, pc) for earlier in seen):
+                yield pc
+        seen.append(ranks)

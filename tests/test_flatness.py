@@ -13,7 +13,7 @@ from flatwall.graph import Graph, vkey
 from flatwall.painting import Painting, trace_normal_cycle
 from flatwall.rendition import Rendition, check_tightness
 from flatwall.tilt import compute_tilt
-from flatwall.wall import (Wall, choices_of_pegs_corners, enumerate_subwalls,
+from flatwall.wall import (Wall, admits_pegs_corners, enumerate_subwalls,
                            interior, is_tilt, temp_hpath, temp_perimeter,
                            temp_vpath)
 
@@ -26,7 +26,7 @@ def test_base_fixture_valid_and_regular():
 
 def test_base_fixture_strict_pegs():
     G, F = generate_fixture(0, 3)
-    assert F.pegs_corners in set(choices_of_pegs_corners(F.wall))
+    assert admits_pegs_corners(F.wall, F.pegs_corners)
 
 
 def test_fixture_deterministic():

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall.errors import InputError
-from flatwall.graph import Graph
-from flatwall.wall import (Wall, choices_of_pegs_corners, elementary_wall,
+from flatwall.graph import Graph, vkey
+from flatwall.wall import (PegsCorners, Wall, admits_pegs_corners,
+                           choices_of_pegs_corners, elementary_wall,
                            enumerate_subwalls, interior, is_tilt,
                            row_selection_valid, subdivide_wall, subwall,
-                           temp_bricks, temp_corners, temp_pegs,
-                           temp_vertices)
+                           temp_bricks, temp_corners, temp_degree,
+                           temp_pegs, temp_vertices)
 
 import oracles
 
@@ -230,6 +231,36 @@ def test_pegs_corners_grow_with_subdivision():
         assert len(pc.corners) == 4
         assert pc.corners <= pc.pegs
         assert all(S.graph.degree(v) == 2 for v in pc.pegs)
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 9])
+def test_degree_two_template_vertices_are_pegs(r):
+    # choices_of_pegs_corners and admits_pegs_corners rely on this
+    assert ({c for c, d in temp_degree(r).items() if d == 2}
+            == set(temp_pegs(r)))
+
+
+@pytest.mark.parametrize("W", [elementary_wall(3), elementary_wall(5),
+                               random_subdivision(elementary_wall(3), 8)])
+def test_pegs_corners_membership_matches_enumeration(W):
+    choices = list(choices_of_pegs_corners(W))
+    assert len(set(choices)) == len(choices)
+    assert all(admits_pegs_corners(W, pc) for pc in choices)
+    # move one corner, or one peg, to every other degree-2 vertex
+    deg2 = sorted((v for v in W.graph.vertex_set if W.graph.degree(v) == 2),
+                  key=vkey)
+    known = set(choices)
+    for pc in choices[:40]:
+        c = min(pc.corners, key=vkey)
+        p = min(pc.pegs - pc.corners, key=vkey)
+        for v in deg2:
+            for moved in (PegsCorners(pc.pegs - {c} | {v},
+                                      pc.corners - {c} | {v}),
+                          PegsCorners(pc.pegs - {p} | {v}, pc.corners)):
+                assert admits_pegs_corners(W, moved) == (moved in known)
+    first = choices[0]
+    assert not admits_pegs_corners(W, PegsCorners(
+        first.pegs, first.corners - {min(first.corners, key=vkey)}))
 
 
 @settings(max_examples=15, deadline=None)
