@@ -1,11 +1,12 @@
-"""Pinned canonical bytes of the search, the transforms, the driver and
-tightening.
+"""Pinned canonical bytes of the search, the transforms, the driver,
+tightening and the min-fill decomposition.
 
 The hashes were taken from the library before the tilt self-checks were
-memoised, and the tightening hash before `tighten` took its worklists from
-the detectors of `check_tightness`. A change that only makes the library
-faster or smaller must leave every one of them as it is; a deliberate
-format change updates them.
+memoised, the tightening hash before `tighten` took its worklists from the
+detectors of `check_tightness`, and the min-fill hash from the scan that
+sorted every remaining vertex on each step. A change that only makes the
+library faster or smaller must leave every one of them as it is; a
+deliberate format change updates them.
 """
 import hashlib
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from flatwall.config import unit_params
 from flatwall.flatness import generate_fixture
-from flatwall.graph import vkey
+from flatwall.graph import min_fill_decomposition, vkey
 from flatwall.homogeneity import example_coloring, find_homogeneous
 from flatwall.leveling import representation
 from flatwall.pipeline import (OracleAnswer, ScriptedOracle,
@@ -88,6 +89,19 @@ def test_tightening_bytes():
     runs.append(_tightening(*ground_separator_rendition()))
     assert _sha(runs) == (
         "ae270b9edbd1183a6500ffbaa0dada53ab21955d3bf39196f27e54f53297cd22")
+
+
+def test_min_fill_decomposition_bytes():
+    # the graphs on which the cli workload runs the default decider
+    decs = []
+    for seed in (1401000, 1401001):
+        for height in (21, 25):
+            td = min_fill_decomposition(generate_fixture(seed, height)[0])
+            decs.append([[sorted(td.bags[i], key=vkey)
+                          for i in range(len(td.bags))],
+                         [list(e) for e in td.tree_edges]])
+    assert _sha(decs) == (
+        "93abcb74d60e58355fa3bf08ece306a231b32818ba863249acc9f287c7657a3d")
 
 
 def test_pegs_corners_sequence_bytes():

@@ -233,6 +233,70 @@ def test_min_fill_matches_networkx_on_fixture():
     _assert_min_fill_matches_networkx(G)
 
 
+def _relabelled(rng, n, edges):
+    # ints and strings mixed, so the tie order by vkey differs from 0..n-1
+    ids = [rng.choice([i, f"v{i}"]) for i in range(n)]
+    return Graph(ids, [(ids[a], ids[b]) for a, b in edges])
+
+
+def _tie_heavy_graph(rng, family):
+    """A graph of at most 40 vertices from a family with many tied keys,
+    or whose remainder becomes a clique after a few eliminations."""
+    if family == "cycle":
+        n = rng.randint(3, 40)
+        return _relabelled(rng, n, [(i, (i + 1) % n) for i in range(n)])
+    if family == "grid":
+        w = rng.randint(1, 8)
+        h = rng.randint(1, 40 // w)
+        return _relabelled(rng, w * h, [
+            (x * h + y, x2 * h + y2) for x in range(w) for y in range(h)
+            for x2, y2 in ((x + 1, y), (x, y + 1)) if x2 < w and y2 < h])
+    if family == "copies":
+        n0, k = rng.randint(1, 8), rng.randint(2, 5)
+        base = [e for e in itertools.combinations(range(n0), 2)
+                if rng.random() < 0.5]
+        return _relabelled(rng, n0 * k, [(c * n0 + a, c * n0 + b)
+                                         for c in range(k) for a, b in base])
+    if family == "isolated":
+        n, extra = rng.randint(0, 30), rng.randint(1, 10)
+        edges = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.3]
+        return _relabelled(rng, n + extra, edges)
+    # "clique-early": a clique with a few pendant paths and chords into it
+    k, tail = rng.randint(1, 25), rng.randint(0, 15)
+    edges = list(itertools.combinations(range(k), 2))
+    for t in range(k, k + tail):
+        edges.append((t, rng.randrange(t)))
+        if rng.random() < 0.3:
+            edges.append((t, rng.randrange(k)))
+    return _relabelled(rng, k + tail, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 10 ** 6))
+def test_min_fill_matches_networkx_up_to_40_vertices(n, p, seed):
+    rng = random.Random(seed)
+    _assert_min_fill_matches_networkx(_relabelled(
+        rng, n, [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < p]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["cycle", "grid", "copies", "isolated", "clique-early"]),
+       st.integers(0, 10 ** 6))
+def test_min_fill_matches_networkx_on_ties(family, seed):
+    _assert_min_fill_matches_networkx(
+        _tie_heavy_graph(random.Random(seed), family))
+
+
+@pytest.mark.parametrize("height", [9, 11])
+def test_min_fill_matches_networkx_on_every_profile(height):
+    from flatwall.flatness import PROFILES, generate_fixture
+    for profile in PROFILES:
+        G, _F = generate_fixture(0, height, profile)
+        _assert_min_fill_matches_networkx(G)
+
+
 def test_minor_model_examples():
     model = minor_model(k(4), k(4))
     assert model is not None and all(len(b) == 1 for b in model.values())
