@@ -5,6 +5,7 @@ operation is deterministic and reproducible.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -570,36 +571,82 @@ def _decomposition_from_order(G: Graph, order: List) -> TreeDecomposition:
 
 def min_fill_decomposition(G: Graph) -> TreeDecomposition:
     """Min-fill-in heuristic decomposition (Bodlaender and Koster 2010),
-    step for step as networkx 3.6's treewidth_min_fill_in on G.vertices.
+    with the output of networkx 3.6's treewidth_min_fill_in on G.vertices.
 
     Eliminates vertices until the rest is a clique, bag 0. Then each
     eliminated vertex v, last eliminated first, gets the bag {v} | N(v),
-    attached to the first earlier bag that holds N(v), or to bag 0."""
-    adj = {v: set(G.neighbors(v)) for v in G.vertices}
+    attached to the first earlier bag that holds N(v), or to bag 0.
+
+    networkx scans the remaining vertices by degree, ties in G.vertices
+    order, and takes the first of strictly least fill-in; its early exits
+    skip only vertices that cannot win. So it takes the vertex of least key
+    (fill-in, degree, position in G.vertices). Here the keys sit in a heap,
+    an entry live while it equals its vertex's key, and each step updates
+    them around the eliminated vertex v with neighbours N:
+
+    - the step adds edges only inside N, so a vertex w outside N keeps its
+      degree, and its fill-in drops by the number of new edges with both
+      ends in N(w);
+    - a vertex u of N loses v, with the missing pairs of v and the
+      neighbours of u outside N; its missing pairs inside N become edges;
+      and it gains its new neighbours in N, each missing a pair with every
+      neighbour of u outside N that it does not see.
+
+    Fill-in is counted from both ends of a missing edge, so it is doubled
+    throughout. The rest is a clique once twice its edge count is
+    n(n - 1), which is networkx's test that its least degree is n - 1."""
+    verts = G.vertices
+    adj = {v: set(G.neighbors(v)) for v in verts}
+    pos = {v: i for i, v in enumerate(verts)}
+    keys = {v: (sum(len(adj[v] - adj[u]) for u in adj[v]) - len(adj[v]),
+                len(adj[v]), pos[v]) for v in verts}
+    heap = list(keys.values())
+    heapq.heapify(heap)
+    n, twice_m = G.n, 2 * G.m
     eliminated = []
-    while adj:
-        # try vertices by current degree, ties in adj order, and take the
-        # first of least fill-in, counted from both ends of a missing edge
-        by_degree = sorted(adj, key=lambda v: len(adj[v]))
-        if len(adj[by_degree[0]]) == len(adj) - 1:
-            break
-        best, best_fill2 = None, float("inf")
-        for v in by_degree:
-            nbrs = adj[v]
-            fill2 = 0
-            for u in nbrs:
-                fill2 += len(nbrs - adj[u]) - 1
-                if fill2 >= best_fill2:
-                    break
-            if fill2 < best_fill2:
-                best, best_fill2 = v, fill2
-                if fill2 == 0:
-                    break
-        eliminated.append((best, _eliminate(adj, best)))
+    while twice_m != n * (n - 1):
+        entry = heapq.heappop(heap)
+        v = verts[entry[2]]
+        if keys.get(v) != entry:
+            continue
+        del keys[v]
+        nbrs = adj[v]
+        drop: Dict = {}  # of fill-in, by vertex
+        for a in nbrs:
+            for b in nbrs - adj[a]:
+                if pos[a] < pos[b]:
+                    for w in adj[a] & adj[b]:
+                        drop[w] = drop.get(w, 0) + 2
+        drop.pop(v, None)
+        gain = {}  # of degree, by vertex of N
+        for u in nbrs:
+            outer = adj[u] - nbrs
+            outer.discard(v)
+            new = nbrs - adj[u]
+            new.discard(u)
+            drop[u] = drop.get(u, 0) + 2 * len(outer) - 2 * sum(
+                len(outer - adj[a]) for a in new)
+            gain[u] = len(new) - 1
+        twice_m += entry[0] - 2 * len(nbrs)
+        n -= 1
+        eliminated.append((v, _eliminate(adj, v)))
+        for w, d in drop.items():
+            fill2, deg, i = keys[w]
+            keys[w] = (fill2 - d, deg + gain.get(w, 0), i)
+            heapq.heappush(heap, keys[w])
+    # attach each bag to the first earlier bag holding its neighbours,
+    # searched among the bags of the neighbour in fewest bags
     bags, tree_edges = [frozenset(adj)], []
+    holding = {x: [0] for x in adj}
     for v, nbrs in reversed(eliminated):
-        old = next((i for i, b in enumerate(bags) if nbrs <= b), 0)
+        old = 0
+        if nbrs:
+            rarest = holding[min(nbrs, key=lambda x: len(holding[x]))]
+            old = next((i for i in rarest if nbrs <= bags[i]), 0)
         tree_edges.append((old, len(bags)))
+        holding[v] = []
+        for x in nbrs | {v}:
+            holding[x].append(len(bags))
         bags.append(frozenset(nbrs | {v}))
     return TreeDecomposition(dict(enumerate(bags)), tree_edges)
 
