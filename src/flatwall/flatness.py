@@ -313,23 +313,23 @@ class _Builder:
         for v in ground:
             self.rot[v] = []
             self.pi[v] = v
-        elem = elementary_wall(r)
-        self.coord = {elem.branch_coords[c]: c for c in elem.branch_coords}
+        self.coord = {W.branch_coords[c]: c for c in W.branch_coords}
+        incident: Dict = {v: [] for v in ground}  # cells in creation order
         for key in sorted(W.seg_paths, key=lambda k: (k[0], k[1])):
             path = W.seg_paths[key]
             u, v = path[0], path[-1]
             cid = f"c|{u}|{v}"
             self.cells[cid] = (u, v)
             self.sigma[cid] = Graph((), zip(path, path[1:]))
+            incident[u].append((cid, v))
+            incident[v].append((cid, u))
         # rotations by straight-line angle around each branch vertex
         for v in ground:
             c = self.coord[v]
-            inc = [(cid, b) for cid, b in self.cells.items() if v in b]
             def angle(item):
-                other = item[1][0] if item[1][1] == v else item[1][1]
-                oc = self.coord[other]
+                oc = self.coord[item[1]]
                 return math.atan2(oc[1] - c[1], oc[0] - c[0])
-            self.rot[v] = [cid for cid, _ in sorted(inc, key=angle)]
+            self.rot[v] = [cid for cid, _ in sorted(incident[v], key=angle)]
 
         self.pegs = frozenset(W.branch_coords[c] for c in temp_pegs(r))
         self.corners = frozenset(W.branch_coords[c] for c in temp_corners(r))
