@@ -437,13 +437,16 @@ def _step_v(G: Graph, w: _Work, unlinked: List, report: List[str]) -> bool:
 def tighten(G: Graph, R: Rendition, report: Optional[List[str]] = None) -> Rendition:
     """Repair what `check_tightness` reports, condition by condition, until
     nothing changes. Best effort: a condition (v) separator through flap
-    interiors is left as it is, with a note in the optional report."""
+    interiors is left as it is, with a note in the optional report for
+    each cell of the result that still violates (v)."""
     bad = validate_rendition(G, R)
     if bad:
         raise InputError("tighten needs a valid rendition", witness=bad)
-    notes = report if report is not None else []
     w = _Work(R)
     for _ in range(12):
+        # a later repair in the same pass can take away a noted cell, so
+        # only the notes of the last pass, which changes nothing, stand
+        notes: List[str] = []
         # each step repairs what its condition's detector finds on the
         # rendition as the step before left it
         changed = _step_i(w, _loose_edges(G, w.rendition()))
@@ -471,4 +474,6 @@ def tighten(G: Graph, R: Rendition, report: Optional[List[str]] = None) -> Rendi
     if check:
         raise InternalError("tighten produced an invalid rendition",
                             witness=check)
+    if report is not None:
+        report.extend(notes)
     return out

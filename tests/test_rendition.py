@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from flatwall.errors import InputError
 from flatwall.flatness import generate_fixture
 from flatwall.graph import Graph
+from flatwall import rendition
 from flatwall.painting import Painting
 from flatwall.rendition import (Rendition, check_tightness, tighten,
                                 validate_rendition)
@@ -352,9 +353,8 @@ def test_shared_boundaries_are_merged():
 
 def test_ground_separators_are_repaired():
     # every draw violates (v) and comes out tight, and only the (v) repair
-    # merges the cells behind a separator; some draws first meet a
-    # separator through the star's interior and note it
-    noted = 0
+    # merges the cells behind a separator; a draw that first meets a
+    # separator through the star's interior keeps no note of it
     for seed in range(60):
         G, R = separated_fan(random.Random(seed))
         assert validate_rendition(G, R) == []
@@ -363,5 +363,20 @@ def test_ground_separators_are_repaired():
         T = tighten(G, R, notes)
         assert_tight_and_faithful(G, R, T)
         assert tighten(G, T).key() == T.key()
-        noted += bool(notes)
-    assert noted
+        assert notes == []
+
+
+@pytest.mark.parametrize("repair", [True, False])
+def test_condition_v_notes_name_the_cells_left_unlinked(repair, monkeypatch):
+    # without a separator to repair along, every (v) violation stays and is
+    # noted once; with the repair, no draw keeps a violation or a note
+    if not repair:
+        monkeypatch.setattr(rendition, "min_vertex_cut",
+                            lambda G, A, B: frozenset())
+    for seed in range(60):
+        G, R = separated_fan(random.Random(seed))
+        notes = []
+        T = tighten(G, R, notes)
+        unlinked = check_tightness(G, T).status("v")
+        assert [n.split()[5].rstrip(":") for n in notes] == unlinked
+        assert bool(unlinked) != repair
