@@ -611,14 +611,14 @@ def min_fill_decomposition(G: Graph) -> TreeDecomposition:
             continue
         del keys[v]
         nbrs = adj[v]
-        drop: Dict = {}  # of fill-in, by vertex
+        drop: Dict = {}  # fall in (doubled) fill-in, by vertex
         for a in nbrs:
             for b in nbrs - adj[a]:
                 if pos[a] < pos[b]:
                     for w in adj[a] & adj[b]:
                         drop[w] = drop.get(w, 0) + 2
         drop.pop(v, None)
-        gain = {}  # of degree, by vertex of N
+        gain = {}  # rise in degree, by vertex of N
         for u in nbrs:
             outer = adj[u] - nbrs
             outer.discard(v)
@@ -645,9 +645,10 @@ def min_fill_decomposition(G: Graph) -> TreeDecomposition:
             old = next((i for i in rarest if nbrs <= bags[i]), 0)
         tree_edges.append((old, len(bags)))
         holding[v] = []
-        for x in nbrs | {v}:
+        bag = frozenset(nbrs | {v})
+        for x in bag:
             holding[x].append(len(bags))
-        bags.append(frozenset(nbrs | {v}))
+        bags.append(bag)
     return TreeDecomposition(dict(enumerate(bags)), tree_edges)
 
 
