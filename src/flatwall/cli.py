@@ -23,8 +23,8 @@ from .errors import CapacityError, FlatwallError, UsageError
 from .flatness import validate_flatness
 from .homogeneity import FlapColoring, find_homogeneous
 from .leveling import leveling_graph, representation
-from .pipeline import (FlatWallOracle, ManualOracle, OracleAnswer,
-                       ScriptedOracle, flat_wall_driver)
+from .pipeline import (FlatWallOracle, OracleAnswer, ScriptedOracle,
+                       flat_wall_driver)
 from .rendition import check_tightness, tighten
 from .serialize import (CertificateBundle, ParseError, SchemaError,
                         bundle_to_json, canonical_bytes, dec, enc,
@@ -74,6 +74,14 @@ def _integer(value, name, what="parameters must be integers"):
     return value
 
 
+def _at_least(value, name, low):
+    """`value` if it is an integer of at least `low`, else a SchemaError."""
+    if _integer(value, name) < low:
+        raise SchemaError(f"{name} must be at least {low}",
+                          witness={"field": name, "value": value})
+    return value
+
+
 def load_params(path) -> Params:
     p = Params()
     if path:
@@ -82,8 +90,7 @@ def load_params(path) -> Params:
             raise SchemaError("params file must hold an object",
                               witness=str(path))
         kwargs = {}
-        for name in ("f_questionnaires", "f_hierarchical",
-                     "f_confrontation", "f_entstandenen"):
+        for name in ("f_questionnaires", "f_hierarchical", "f_entstandenen"):
             if name in d:
                 spec = d[name]
                 if not isinstance(spec, dict):
@@ -91,10 +98,11 @@ def load_params(path) -> Params:
                                       "object with coeff and power",
                                       witness=name)
                 kwargs[name] = _poly(_integer(spec.get("coeff", 1), name),
-                                     _integer(spec.get("power", 1), name))
+                                     _at_least(spec.get("power", 1),
+                                               f"{name}.power", 0))
         if "edge_density_coeff" in d:
-            kwargs["edge_density_coeff"] = _integer(d["edge_density_coeff"],
-                                                    "edge_density_coeff")
+            kwargs["edge_density_coeff"] = _at_least(d["edge_density_coeff"],
+                                                     "edge_density_coeff", 1)
         p = Params(**kwargs)
     return replace(p, limits=p.limits.override_from_env())
 
@@ -162,7 +170,7 @@ def load_oracle(spec):
                    _list(_field(d, "answers", "oracle"), "oracle.answers")]
         return ScriptedOracle(answers)
     if mode == "manual":
-        return ManualOracle(_answer_from_json(d))
+        return ScriptedOracle([_answer_from_json(d)])
     raise UsageError("unknown oracle mode", witness=mode)
 
 

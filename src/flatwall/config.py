@@ -15,12 +15,11 @@ from .errors import UsageError
 class Limits:
     minor_model: int = 24
     treewidth: int = 20
-    pegs_enum: int = 400          # wall size for pegs/corners enumeration
     find_wall: int = 64           # |V(G)| for the wall-finding base case
 
     def override_from_env(self) -> "Limits":
         out = self
-        for name in ("minor_model", "treewidth", "pegs_enum", "find_wall"):
+        for name in ("minor_model", "treewidth", "find_wall"):
             var = "FLATWALL_LIMIT_" + name.upper()
             raw = os.environ.get(var)
             if raw is not None:

@@ -6,9 +6,10 @@ narrow the certificate to a small compass by repeated tilts, and hand back
 exactly one validated outcome (minor model, tree decomposition, or apex set
 plus regular flatness pair plus compass decomposition).
 
-Every cited black-box subroutine sits behind an injectable interface with an
-exact desk-scale default; scripted stand-ins are for tests and each outcome
-records which verdicts were exact and which were supplied.
+Both cited black boxes, the treewidth decider and the flat-wall oracle, sit
+behind injectable interfaces. The default decider only ever hands back a
+min-fill decomposition; scripted stand-ins replay prepared verdicts and
+answers, and the caller re-validates whatever they supply.
 """
 from __future__ import annotations
 
@@ -338,48 +339,43 @@ class TreewidthDecider:
 
 
 class DefaultTreewidthDecider(TreewidthDecider):
-    """Min-fill decomposition if its width fits 5z+4, else exact treewidth."""
+    """Min-fill decomposition if its width fits 5z+4, else CapacityError.
+
+    It never reports high treewidth. With every parameter function at least
+    1, z >= 60, and the budget 5z+4 >= 304 lies far above the min-fill
+    width of desk-scale graphs.
+    """
 
     def __init__(self, p: Optional[Params] = None):
-        self.p = p or Params()
+        """`p` is accepted and unused: the budget arrives as z."""
 
     def decide(self, G: Graph, z: int) -> Tuple[str, object]:
-        # the heuristic answer is sound whenever it fits the width budget,
-        # so the exact search only runs to certify a high-treewidth call
         td = min_fill_decomposition(G)
         if td.width <= 5 * z + 4:
             return "decomposition", td
-        if G.n <= self.p.limits.treewidth:
-            tw, td = exact_treewidth(G, limit=self.p.limits.treewidth)
-            if tw <= 5 * z + 4:
-                return "decomposition", td
-            return "high", f"exact treewidth {tw} > {z}"
         raise CapacityError(
             "treewidth undecided: heuristic width over the budget",
             witness=[G.n, td.width, z])
 
 
 class ScriptedTreewidthDecider(TreewidthDecider):
-    """Replays prepared verdicts; "default" entries delegate to the exact
-    decider. Scripted "high" verdicts are unverified and recorded as such."""
+    """Replays prepared verdicts; "default" entries delegate to
+    `DefaultTreewidthDecider`. A scripted "high" is unverified and says so
+    in the notes; a scripted decomposition is validated by the caller."""
 
     def __init__(self, verdicts: Sequence, p: Optional[Params] = None):
         self.verdicts = list(verdicts)
         self.inner = DefaultTreewidthDecider(p)
-        self.log: List[str] = []
 
     def decide(self, G: Graph, z: int) -> Tuple[str, object]:
         if not self.verdicts:
             raise InternalError("treewidth script exhausted", witness=G.n)
         entry = self.verdicts.pop(0)
         if entry == "default":
-            self.log.append(f"default verdict on n={G.n}")
             return self.inner.decide(G, z)
         if entry == "high":
-            self.log.append(f"scripted high-treewidth verdict on n={G.n}")
             return "high", "scripted, unverified"
         if isinstance(entry, TreeDecomposition):
-            self.log.append(f"scripted decomposition on n={G.n}")
             return "decomposition", entry
         raise InputError("unknown script entry", witness=repr(entry))
 
@@ -423,20 +419,6 @@ class ScriptedOracle(FlatWallOracle):
         if not self.answers:
             raise InternalError("oracle script exhausted", witness=[G.n, r])
         return self.answers.pop(0)
-
-
-class ManualOracle(FlatWallOracle):
-    """One user-supplied answer, for certificates loaded from files."""
-
-    def __init__(self, answer: OracleAnswer):
-        self.answer = answer
-        self.used = False
-
-    def consult(self, G: Graph, r: int, t: int, W: Wall) -> OracleAnswer:
-        if self.used:
-            raise InputError("manual oracle holds a single answer")
-        self.used = True
-        return self.answer
 
 
 def _check_oracle_answer(G: Graph, r: int, t: int, W: Wall,

@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .config import DEFAULT_LIMITS
 from .errors import CapacityError, InputError
 from .graph import Graph, norm_edge, vkey
 
@@ -681,7 +680,7 @@ def admits_pegs_corners(W: Wall, pc: PegsCorners) -> bool:
                    tb, tarcs, *_suppressed(W.graph)))
 
 
-def choices_of_pegs_corners(W: Wall, limit: Optional[int] = None):
+def choices_of_pegs_corners(W: Wall, limit: int = 400):
     """Enumerate (P, C) pairs over all elementary presentations, deduped.
 
     Every degree-2 template vertex is a peg, so within one skeleton
@@ -689,7 +688,6 @@ def choices_of_pegs_corners(W: Wall, limit: Optional[int] = None):
     from the first embedding that admits it; only the embeddings are kept,
     not the pairs.
     """
-    limit = DEFAULT_LIMITS.pegs_enum if limit is None else limit
     if W.graph.n > limit:
         raise CapacityError("pegs/corners enumeration over desk limit",
                             witness=W.graph.n)

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import flatwall.serialize
-from flatwall.cli import load_params, main
+from flatwall.cli import load_oracle, load_params, main
 from flatwall.config import Params
 from flatwall.errors import (CapacityError, InputError, InternalError,
                              UsageError)
@@ -413,6 +413,22 @@ def test_bad_oracle_files_give_structured_errors(tmp_path, mode, oracle):
     assert json.loads(res.stderr)["error"]["code"] == "SchemaError"
 
 
+@pytest.mark.parametrize("mode", ["manual", "scripted"])
+def test_loaded_oracle_returns_its_answer(tmp_path, mode):
+    G, F = generate_fixture(0, 5)
+    answer = {"kind": "flat", "apex": [], "pair": pair_to_json(G, F),
+              "rows": [1, 2, 3, 4, 5], "cols": [1, 2, 3, 4, 5]}
+    opath = tmp_path / "oracle.json"
+    opath.write_bytes(canonical_bytes(answer if mode == "manual"
+                                      else {"answers": [answer]}))
+    ans = load_oracle(f"{mode}:{opath}").consult(G, 5, 2, F.wall)
+    assert (ans.kind, ans.apex, ans.subwall_rows, ans.subwall_cols) == (
+        "flat", frozenset(), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
+    assert (canonical_bytes(pair_to_json(G, ans.pair))
+            == canonical_bytes(answer["pair"]))
+    assert validate_flatness(G, ans.pair) == []
+
+
 def test_params_file_and_env_override(tmp_path, monkeypatch):
     ppath = tmp_path / "params.json"
     ppath.write_text(json.dumps({
@@ -434,6 +450,9 @@ def test_params_file_and_env_override(tmp_path, monkeypatch):
     ({"edge_density_coeff": 1.5}, None, 1, "SchemaError"),
     ({"f_questionnaires": {"coeff": 2.9, "power": 1}}, None, 1, "SchemaError"),
     ({"f_entstandenen": {"coeff": 1, "power": True}}, None, 1, "SchemaError"),
+    ({"edge_density_coeff": 0}, None, 1, "SchemaError"),
+    ({"edge_density_coeff": -3}, None, 1, "SchemaError"),
+    ({"f_hierarchical": {"coeff": 4, "power": -1}}, None, 1, "SchemaError"),
 ])
 def test_bad_params_give_structured_errors(tmp_path, monkeypatch, params,
                                            env, code, error):

@@ -172,8 +172,8 @@ def test_default_decider_exact_tiers():
     verdict, td = d.decide(path_graph(10), 60)
     assert verdict == "decomposition"
     assert td.validate(path_graph(10)) == []
-    verdict, note = d.decide(complete_graph(10), 0)
-    assert verdict == "high" and "9" in note
+    with pytest.raises(CapacityError):
+        d.decide(complete_graph(10), 0)
 
 
 def test_default_decider_heuristic_tier():
