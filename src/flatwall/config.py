@@ -42,7 +42,7 @@ def _poly(coeff: int, power: int):
 
 @dataclass(frozen=True)
 class Params:
-    """The four parameter functions of the orchestration layer.
+    """The three parameter functions of the orchestration layer.
 
     Defaults keep the published asymptotic shapes with unit leading
     constants scaled down to degree 2; they are explicitly NOT the
@@ -50,7 +50,6 @@ class Params:
     """
     f_questionnaires: object = field(default_factory=lambda: _poly(1, 2))
     f_hierarchical: object = field(default_factory=lambda: _poly(1, 2))
-    f_confrontation: object = field(default_factory=lambda: _poly(1, 2))
     f_entstandenen: object = field(default_factory=lambda: _poly(1, 1))
     edge_density_coeff: int = 4   # c_t = coeff * t
     limits: Limits = DEFAULT_LIMITS
@@ -60,7 +59,6 @@ class Params:
         return {
             "f_questionnaires": [self.f_questionnaires(t) for t in probe],
             "f_hierarchical": [self.f_hierarchical(t) for t in probe],
-            "f_confrontation": [self.f_confrontation(t) for t in probe],
             "f_entstandenen": [self.f_entstandenen(t) for t in probe],
             "edge_density_coeff": self.edge_density_coeff,
         }
@@ -68,5 +66,4 @@ class Params:
 
 def unit_params() -> Params:
     one = lambda t: 1
-    return Params(f_questionnaires=one, f_hierarchical=one,
-                  f_confrontation=one, f_entstandenen=one)
+    return Params(f_questionnaires=one, f_hierarchical=one, f_entstandenen=one)
