@@ -341,9 +341,9 @@ class TreewidthDecider:
 class DefaultTreewidthDecider(TreewidthDecider):
     """Min-fill decomposition if its width fits 5z+4, else CapacityError.
 
-    It never reports high treewidth. With every parameter function at least
-    1, z >= 60, and the budget 5z+4 >= 304 lies far above the min-fill
-    width of desk-scale graphs.
+    It never reports high treewidth. With r >= 3 and every parameter
+    function at least 1, z >= 60, and the budget 5z+4 >= 304 lies far above
+    the min-fill width of desk-scale graphs.
     """
 
     def __init__(self, p: Optional[Params] = None):

@@ -8,9 +8,9 @@ condition (v) notes of passes before its last, which changed the notes of
 17 `separated_fan` draws and no rendition), and the min-fill hash from the
 scan that sorted every remaining vertex on each step. The driver hashes were
 taken again when the unused parameter function f_confrontation left the
-`params` of every outcome. A change that only
-makes the library faster or smaller must leave every one of them as it is;
-a deliberate change of the output updates them.
+`params` of every outcome. A change that only makes the library faster or
+smaller must leave every one of them as it is; a deliberate change of the
+output updates them.
 """
 import hashlib
 import random
