@@ -82,6 +82,18 @@ def _at_least(value, name, low):
     return value
 
 
+_FUNCTIONS = ("f_questionnaires", "f_hierarchical", "f_entstandenen")
+
+
+def _known_keys(d, known, where):
+    """A SchemaError naming the keys of `d` that are not in `known`."""
+    unknown = sorted(k for k in d if k not in known)
+    if unknown:
+        raise SchemaError(f"unknown keys in {where}",
+                          witness={"unknown": unknown,
+                                   "known": sorted(known)})
+
+
 def load_params(path) -> Params:
     p = Params()
     if path:
@@ -89,14 +101,16 @@ def load_params(path) -> Params:
         if not isinstance(d, dict):
             raise SchemaError("params file must hold an object",
                               witness=str(path))
+        _known_keys(d, _FUNCTIONS + ("edge_density_coeff",), "params")
         kwargs = {}
-        for name in ("f_questionnaires", "f_hierarchical", "f_entstandenen"):
+        for name in _FUNCTIONS:
             if name in d:
                 spec = d[name]
                 if not isinstance(spec, dict):
                     raise SchemaError("parameter function must be an "
                                       "object with coeff and power",
                                       witness=name)
+                _known_keys(spec, ("coeff", "power"), name)
                 kwargs[name] = _poly(_integer(spec.get("coeff", 1), name),
                                      _at_least(spec.get("power", 1),
                                                f"{name}.power", 0))

@@ -4,8 +4,9 @@ A flap coloring assigns each cell one of w colors; the palette of a cycle
 is the color set of its influence flaps. A pair is homogeneous when every
 internal brick shows the same palette. Walls of height h(r, w) always
 contain an r-subwall all of whose tilts are homogeneous, so searching the
-subwalls in lexicographic order and tilting each one is guaranteed to
-succeed at that height.
+subwalls in lexicographic order is guaranteed to succeed at that height.
+The search reads each subwall's brick palettes off the source pair and
+tilts only the first subwall that passes.
 """
 from __future__ import annotations
 
@@ -79,11 +80,23 @@ def is_homogeneous(F: FlatnessPair, zeta: FlapColoring,
 
 def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
                      allow_short: bool = False) -> Optional[TiltResult]:
-    """First r-subwall (lexicographic) whose tilt is homogeneous.
+    """Tilt of the first r-subwall (lexicographic) whose tilt is homogeneous.
 
-    New chain cells created by a tilt inherit the color of their source
-    cell; internal bricks never see them when the tilt properties hold, so
-    this only matters for palettes of larger cycles.
+    A subwall S is tested on F itself: it passes when every internal brick
+    of S has the same palette in F. This is exact, because a brick keeps its
+    palette under the tilt to S:
+    - an internal brick B of S shares no vertex with S's perimeter, so every
+      cell that B runs through or encloses is an S-internal cell;
+    - the tilt keeps every S-internal cell with its own id and flap (tilt
+      properties (ii) and (iii)) and rewires only the perimeter, so B keeps
+      its vertex sequence;
+    - so B's influence, and with it B's palette, is the same in F and in
+      the tilt, and the chain-cell fallback is never consulted for B.
+    Only the first subwall that passes is tilted, with all of the tilt's
+    self-checks; an `InternalError` is raised if its tilt is not
+    homogeneous after all. New chain cells created by a tilt inherit the
+    color of their source cell, which only matters for palettes of cycles
+    larger than a brick.
     """
     need = h(r, zeta.w)
     if F.height < need and not allow_short:
@@ -91,11 +104,16 @@ def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
             f"height {F.height} is below the guarantee threshold {need}",
             witness=(r, zeta.w))
     for rows, cols, S in enumerate_subwalls(F.wall, r):
+        if len({palette(F, zeta, b) for b in S.internal_bricks()}) > 1:
+            continue
         res = compute_tilt(G, F, S)
         src = res.provenance
-        if is_homogeneous(res.pair, zeta,
-                          fallback=lambda cid: src.get(cid, (cid,))[0]):
-            return res
+        if not is_homogeneous(res.pair, zeta,
+                              fallback=lambda cid: src.get(cid, (cid,))[0]):
+            raise InternalError("tilt of a homogeneous subwall is not "
+                                "homogeneous", witness={"rows": list(rows),
+                                                        "cols": list(cols)})
+        return res
     if allow_short:
         return None
     raise InternalError(

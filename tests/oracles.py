@@ -1,7 +1,10 @@
 """Independent oracles used to cross-check library results.
 
 Deliberately coded without importing any library internals beyond the Graph
-value type, and by different methods than the library uses.
+value type, and by different methods than the library uses. The one
+exception is `find_homogeneous_by_tilting`, the homogeneous-subwall search
+that tilts every candidate, kept as the reference for the search that reads
+palettes off the source pair.
 """
 from __future__ import annotations
 
@@ -113,3 +116,20 @@ def is_subdivision_of(G: Graph, pattern: Graph) -> bool:
         p.remove_node(v)
         p.add_edge(a, b)
     return nx.is_isomorphic(g, p)
+
+
+def find_homogeneous_by_tilting(G: Graph, F, zeta, r: int):
+    """The first r-subwall (lexicographic) whose tilt is homogeneous, found
+    by tilting each subwall in turn and testing the tilt; None if there is
+    none. Any error of a tilt is raised."""
+    from flatwall.homogeneity import is_homogeneous
+    from flatwall.tilt import compute_tilt
+    from flatwall.wall import enumerate_subwalls
+
+    for _rows, _cols, S in enumerate_subwalls(F.wall, r):
+        res = compute_tilt(G, F, S)
+        src = res.provenance
+        if is_homogeneous(res.pair, zeta,
+                          fallback=lambda cid: src.get(cid, (cid,))[0]):
+            return res
+    return None

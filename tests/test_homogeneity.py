@@ -1,12 +1,18 @@
+import itertools
+
 import pytest
 
 from flatwall import homogeneity
 from flatwall.errors import InputError, InternalError
-from flatwall.flatness import generate_fixture, influence
+from flatwall.flatness import PROFILES, generate_fixture, influence
 from flatwall.homogeneity import (FlapColoring, example_coloring,
                                   find_homogeneous, h, is_homogeneous,
                                   palette)
-from flatwall.wall import enumerate_subwalls
+from flatwall.serialize import canonical_bytes, pair_to_json
+from flatwall.tilt import compute_tilt
+from flatwall.wall import enumerate_subwalls, subwall
+
+from oracles import find_homogeneous_by_tilting
 
 
 def constant_coloring(F, w=1):
@@ -108,8 +114,20 @@ def test_failed_search_at_admissible_height_is_internal(monkeypatch):
     zeta = constant_coloring(F)
     assert F.height >= h(3, zeta.w)
     monkeypatch.setattr(homogeneity, "is_homogeneous", lambda *a, **k: False)
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="is not homogeneous"):
         find_homogeneous(G, F, zeta, 3)
+
+
+def test_exhausted_search_at_admissible_height_is_internal(monkeypatch):
+    G, F = generate_fixture(0, 5)
+    zeta = constant_coloring(F)
+    assert F.height >= h(5, zeta.w)
+    fresh = itertools.count()
+    monkeypatch.setattr(homogeneity, "palette",
+                        lambda *a, **k: frozenset({next(fresh)}))
+    with pytest.raises(InternalError, match="no homogeneous subwall"):
+        find_homogeneous(G, F, zeta, 5)
+    assert find_homogeneous(G, F, zeta, 5, allow_short=True) is None
 
 
 def test_subwall_count_height7():
@@ -169,3 +187,52 @@ def test_tilt_palette_transfer():
     for nb in new_bricks:
         got = frozenset(influence(res.pair, nb))
         assert any(got == frozenset(influence(F, ob)) for ob in old_bricks)
+
+
+# `with-untidy2` is left out: some of its subwalls have a tilt that fails
+# its own check (see test_untidy2_tilt_keeps_an_unheld_chord), so tilting
+# every subwall would raise where the search tilts only the one it returns.
+# A 3-wall has no internal brick, so at r = 3 both searches take the first
+# subwall; at r = 5 they look at up to 88 subwalls of a seed-0 7-wall.
+REFERENCE_CASES = [(seed, 7, profile, (3, 5) if seed == 0 else (3,))
+                   for profile in PROFILES if profile != "with-untidy2"
+                   for seed in range(3)]
+REFERENCE_CASES.append((0, 9, "with-flaps", (5,)))
+
+
+@pytest.mark.parametrize(
+    "seed, height, profile, rs", REFERENCE_CASES,
+    ids=lambda v: "r" + "+".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_search_matches_tilting_every_subwall(seed, height, profile, rs):
+    G, F = generate_fixture(seed, height, profile)
+    zeta = example_coloring(F, 2)
+    for r in rs:
+        got = find_homogeneous(G, F, zeta, r, allow_short=True)
+        want = find_homogeneous_by_tilting(G, F, zeta, r)
+        if want is None:
+            assert got is None
+        else:
+            assert canonical_bytes(pair_to_json(G, got.pair)) == \
+                canonical_bytes(pair_to_json(G, want.pair))
+    # the invariant the search rests on: an internal brick of a subwall
+    # has the same influence, so the same palette, in F and in the tilt
+    fives = itertools.islice(enumerate_subwalls(F.wall, 5), 100)
+    for _rows, _cols, S in fives:
+        res = compute_tilt(G, F, S)
+        src = res.provenance
+        bricks = S.internal_bricks()
+        assert bricks and res.wall.internal_bricks() == bricks
+        for b in bricks:
+            assert set(influence(res.pair, b)) == set(influence(F, b))
+            assert palette(res.pair, zeta, b,
+                           fallback=lambda cid: src.get(cid, (cid,))[0]) == \
+                palette(F, zeta, b)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalError)
+def test_untidy2_tilt_keeps_an_unheld_chord():
+    # The escape cell c|helper2|g0 is a 2-node chord (s7, 6,3) external to
+    # the subwall with both ends on its perimeter: the tilt drops the cell
+    # but keeps both ends in Y', so G[Y'] keeps an edge that no flap holds.
+    G, F = generate_fixture(2, 5, "with-untidy2")
+    compute_tilt(G, F, subwall(F.wall, (1, 2, 4), (1, 2, 3)))

@@ -442,6 +442,20 @@ def test_params_file_and_env_override(tmp_path, monkeypatch):
     assert p.limits.minor_model == 5
 
 
+@pytest.mark.parametrize("params, where, unknown", [
+    ({"f_hierachical": {"coeff": 9, "power": 3},
+      "f_confrontation": {"coeff": 2, "power": 2}},
+     "params", ["f_confrontation", "f_hierachical"]),
+    ({"f_hierarchical": {"coeff": 2, "powr": 3}}, "f_hierarchical", ["powr"]),
+])
+def test_unknown_params_keys_are_named(tmp_path, params, where, unknown):
+    ppath = tmp_path / "params.json"
+    ppath.write_text(json.dumps(params))
+    with pytest.raises(SchemaError, match=where) as err:
+        load_params(str(ppath))
+    assert err.value.witness["unknown"] == unknown
+
+
 @pytest.mark.parametrize("params, env, code, error", [
     (5, None, 1, "SchemaError"),
     ({"edge_density_coeff": "x"}, None, 1, "SchemaError"),
@@ -453,6 +467,9 @@ def test_params_file_and_env_override(tmp_path, monkeypatch):
     ({"edge_density_coeff": 0}, None, 1, "SchemaError"),
     ({"edge_density_coeff": -3}, None, 1, "SchemaError"),
     ({"f_hierarchical": {"coeff": 4, "power": -1}}, None, 1, "SchemaError"),
+    ({"f_hierachical": {"coeff": 9, "power": 3}}, None, 1, "SchemaError"),
+    ({"f_hierarchical": {"coeff": 2, "powr": 3}}, None, 1, "SchemaError"),
+    ({"f_confrontation": {"coeff": 2, "power": 2}}, None, 1, "SchemaError"),
 ])
 def test_bad_params_give_structured_errors(tmp_path, monkeypatch, params,
                                            env, code, error):
