@@ -40,8 +40,9 @@ class FlatnessPair:
 
     - "owner": the cell owning each compass edge (`edge_owner`);
     - "untidy": the untidy cells (`untidy_cells`);
-    - ("classes", cycle edges): the cell classes against a cycle
-      (`classify_cells`);
+    - ("classes", cycle edges): the classes of the cells a cycle runs
+      through or encloses (`classify_cells`); each map covers the cycle's
+      influence only, never the whole painting;
     - ("validated", G, lenient_pegs): the violations
       `validate_flatness` found against the graph G, keyed by its content.
     """
@@ -78,7 +79,7 @@ class FlatnessPair:
 
 @dataclass(frozen=True)
 class CellClass:
-    kind: str          # internal / inner-perimetric / outer-perimetric / external
+    kind: str          # internal / inner-perimetric / outer-perimetric
     marginal: bool
     untidy: bool
 
@@ -239,6 +240,12 @@ def cycle_runs(F: FlatnessPair, cyc: Sequence):
 
 
 def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
+    """The class of every cell that the cycle C runs through or encloses.
+
+    A cell of the painting that is missing from the map is external. So
+    the map holds C's influence and nothing else, and it costs the inside
+    of C, not the whole painting (`painting.trace_normal_cycle`).
+    """
     if isinstance(C, Wall):
         cyc, edges = C.perimeter, C.perimeter_edges
     else:
@@ -264,18 +271,13 @@ def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
         out[cid] = CellClass(kind, marginal, cid in untidy)
     for cid in trace.inside_cells:
         out[cid] = CellClass("internal", False, cid in untidy)
-    for cid in trace.outside_cells:
-        out[cid] = CellClass("external", False, cid in untidy)
-    if set(out) != set(F.rendition.painting.cells):
-        raise InternalError("classification missed a cell")
     F._memo[key] = out
     return out
 
 
 def influence(F: FlatnessPair, C: Cycle) -> Dict[object, Graph]:
-    classes = classify_cells(F, C)
-    return {cid: F.rendition.sigma[cid] for cid, cc in classes.items()
-            if cc.kind != "external"}
+    sigma = F.rendition.sigma
+    return {cid: sigma[cid] for cid in classify_cells(F, C)}
 
 
 def influence_union(F: FlatnessPair, C: Cycle) -> Graph:
@@ -286,8 +288,8 @@ def is_regular(F: FlatnessPair) -> bool:
     if untidy_cells(F):
         return False
     classes = classify_cells(F, F.wall)
-    return all(cc.kind != "external" and not cc.marginal
-               for cc in classes.values())
+    return (len(classes) == len(F.rendition.painting.cells)
+            and not any(cc.marginal for cc in classes.values()))
 
 
 # -- fixture generation ----------------------------------------------------
@@ -355,9 +357,11 @@ class _Builder:
                          PegsCorners(self.pegs, self.corners), R)
         return G, F
 
-    def classify(self, cid: str) -> CellClass:
+    def kind(self, cid: str) -> str:
+        """The class of cell cid against the wall's perimeter."""
         _, F = self.pair()
-        return classify_cells(F, self.W)[cid]
+        cc = classify_cells(F, self.W).get(cid)
+        return "external" if cc is None else cc.kind
 
     def face_with_nodes(self, nodes: FrozenSet):
         from .painting import _face_node_sequence, trace_faces
@@ -397,7 +401,7 @@ class _Builder:
                 self.rot[nd] = r
             self.cells[cid] = order
             if not validate_painting(self.painting()):
-                if want_kind is None or self.classify(cid).kind == want_kind:
+                if want_kind is None or self.kind(cid) == want_kind:
                     return
             for nd in boundary:
                 self.rot[nd] = list(saved[nd])
@@ -425,7 +429,7 @@ class _Builder:
             old_sigmas = {c: self.sigma.pop(c) for c in old_cids
                           if c in self.sigma}
             if not validate_painting(self.painting()):
-                if want_kind is None or self.classify(cid).kind == want_kind:
+                if want_kind is None or self.kind(cid) == want_kind:
                     return
             self.sigma.update(old_sigmas)
             del self.sigma[cid]

@@ -276,16 +276,20 @@ def articulation_points(G: Graph) -> FrozenSet:
 
 
 def is_separation(G: Graph, L: Iterable, R: Iterable) -> bool:
+    """L and R cover V(G) and no edge joins L - R to R - L.
+
+    Such an edge has an end in each difference, so only the neighbours of
+    the smaller difference are looked at, not every edge of G.
+    """
     L, R = set(L), set(R)
     for v in L | R:
         if v not in G:
             raise InputError("unknown vertex", witness=repr(v))
     if L | R != G.vertex_set:
         return False
-    lonly = L - R
-    ronly = R - L
-    return not any(u in lonly and v in ronly or u in ronly and v in lonly
-                   for u, v in G.edge_set)
+    small, large = sorted((L - R, R - L), key=len)
+    adj = G._adj
+    return not any(u in large for v in small for u in adj[v])
 
 
 def contract_matching(G: Graph, M: Iterable) -> Tuple[Graph, Dict]:

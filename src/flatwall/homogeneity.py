@@ -73,9 +73,15 @@ def palette(F: FlatnessPair, zeta: FlapColoring, C: Cycle,
 
 def is_homogeneous(F: FlatnessPair, zeta: FlapColoring,
                    fallback=None) -> bool:
-    pals = {palette(F, zeta, b, fallback)
-            for b in F.wall.internal_bricks()}
-    return len(pals) <= 1
+    return _one_palette(F, zeta, F.wall.internal_bricks(), fallback)
+
+
+def _one_palette(F: FlatnessPair, zeta: FlapColoring, bricks,
+                 fallback=None) -> bool:
+    """All bricks show one palette; stops at the first brick that differs."""
+    pals = (palette(F, zeta, b, fallback) for b in bricks)
+    first = next(pals, None)
+    return all(p == first for p in pals)
 
 
 def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
@@ -104,7 +110,7 @@ def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
             f"height {F.height} is below the guarantee threshold {need}",
             witness=(r, zeta.w))
     for rows, cols, S in enumerate_subwalls(F.wall, r):
-        if len({palette(F, zeta, b) for b in S.internal_bricks()}) > 1:
+        if not _one_palette(F, zeta, S.internal_bricks()):
             continue
         res = compute_tilt(G, F, S)
         src = res.provenance

@@ -6,9 +6,12 @@ node the cyclic order of its incident cells as seen in the disk. Faces come
 from dart tracing; the declared outer boundary must appear on a traced face.
 
 A normal cycle is routed through cell-vertices along spokes, so the curve
-is a cycle of the incidence graph itself and region queries reduce to
-union-find over faces: two faces are in the same region of the disk minus
-the curve iff connected across edges that are not on the curve.
+is a cycle of the incidence graph itself: two faces are in the same region
+of the disk minus the curve iff connected across edges that are not on the
+curve. The inside of the curve is found by a flood fill over faces that
+starts at the curve and stops once the inside is used up
+(`trace_normal_cycle`), so it never visits more than about twice the
+inside.
 """
 from __future__ import annotations
 
@@ -276,33 +279,60 @@ def _painting_problems(P: Painting) -> List[str]:
 
 @dataclass(frozen=True)
 class NormalCycleTrace:
+    """A normal cycle and the cells it encloses.
+
+    The cells of the painting fall in three classes: the run cells, which
+    the curve passes through; the inside cells, which lie in a region of
+    the disk minus the curve other than the one holding the outer face;
+    and every other cell, which is outside. Only the first two are listed,
+    so a trace costs the inside of the curve, not the whole painting.
+    """
+
     runs: Tuple[Tuple[object, object, object], ...]   # (entry, cell, exit)
     arc_flags: Tuple[bool, ...]
     inside_cells: FrozenSet
-    outside_cells: FrozenSet
     nodes_on_curve: FrozenSet
     # per run: None for 2-node cells, else True iff the cell body (the part
     # of the cell not swept by the curve) lies on the inside of the curve
     run_sides: Tuple[Optional[bool], ...] = ()
 
 
-class _UF:
-    def __init__(self, n):
-        self.p = list(range(n))
+def trace_normal_cycle(P: Painting, runs: Sequence[Tuple],
+                       z_rule: Sequence[bool]) -> NormalCycleTrace:
+    """The cells of the connected painting P inside a normal cycle.
 
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
+    The curve runs along spokes: from each entry node into its run cell and
+    out to the exit node, and for a flagged run also to the cell's third
+    node. Two faces lie in one region of the disk minus the curve iff a
+    path of faces joins them across spokes off the curve.
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[rb] = ra
+    The inside is found by a flood fill over faces that starts at the
+    curve. The faces of the curve's darts (p -> c and c -> q for a run
+    (p, c, q)) seed one side, those of the reversed darts the other. The
+    sides grow in lockstep, one face each in turn, and leave a face through
+    every off-curve cell on it: such a cell has no spoke on the curve, so
+    all its corner faces join the side at once. A side that reaches the
+    outer face is the outside and stops growing; the fill ends when the
+    other side is used up, and the cells it reached are the inside.
 
-
-def trace_normal_cycle(P: Painting, runs: Sequence[Tuple], z_rule: Sequence[bool]) -> NormalCycleTrace:
+    Why this is exact on a plane painting (one `validate_painting`
+    accepts):
+    - the curve is simple: its entry nodes and cells are distinct, and a
+      flagged third node is no other node of the curve (checked below), so
+      the spoke to it hangs off the curve into one side;
+    - so the disk minus the curve has two regions, and the faces on one
+      side of the curve's darts lie in one of them, because face tracing
+      keeps every face on the same side of its darts;
+    - every corner face of a run cell is the face of a curve dart or of its
+      reverse, so it is a seed, and no spoke of a run cell needs crossing;
+    - a side used up before it reaches the outer face is a whole region
+      other than the outer one: the inside, the other side being the
+      outside. A side that reaches the outer face is the outside, and the
+      other side, once used up, is the inside.
+    So the fill visits at most twice the inside faces plus those next to
+    the curve. A face reached from both sides means that P is not plane,
+    and raises `InternalError`.
+    """
     runs = [tuple(r) for r in runs]
     flags = list(z_rule)
     if len(runs) < 2:
@@ -336,62 +366,79 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple], z_rule: Sequence[bool
         if flags[i] and third[i] is None:
             raise InputError("arc flag set on a two-node cell", witness=c)
 
-    face_of = _face_index(P)
-    blocked = set()
     on_curve = set(entry_nodes)
-    for i, (p, c, q) in enumerate(runs):
-        blocked.add((p, c))
-        blocked.add((q, c))
-        if flags[i]:
-            blocked.add((third[i], c))
-            on_curve.add(third[i])
-
-    spokes = _spokes(P)
-    n_faces = len(trace_faces(P))
-    uf = _UF(n_faces)
-    for cid, ends in spokes.items():
-        for x, a, b in ends:
-            if (x, cid) not in blocked:
-                uf.union(a, b)
-    region = [uf.find(f) for f in range(n_faces)]
+    for t, flag in zip(third, flags):
+        if flag:
+            if t in on_curve:
+                raise InputError("curve revisits a node; not a simple "
+                                 "closed curve", witness=t)
+            on_curve.add(t)
 
     outer = outer_face(P)
     if outer is None:
         raise InputError("painting has no face matching its outer boundary")
-    outer_region = region[face_of[outer[0]]] if outer else 0
 
-    inside = set()
-    outside = set()
-    run_set = set(run_cells)
-    for cid, ends in spokes.items():
-        if cid in run_set:
-            continue
-        regions = {region[b] for _, _, b in ends}
-        if len(regions) != 1:
-            raise InternalError("cell off the curve spans two regions",
-                                witness=cid)
-        if regions == {outer_region}:
-            outside.add(cid)
-        else:
-            inside.add(cid)
-
-    # which side of the curve carries each run cell's body: for an unflagged
-    # third node the corner faces at its spoke, for a flagged one the corner
-    # between the two entry spokes that avoids it
-    sides: List[Optional[bool]] = []
-    for i, (p, c, q) in enumerate(runs):
-        t = third[i]
+    # the seeds of both sides, and per run the corner face that tells which
+    # side carries the cell's body: for an unflagged third node the corner
+    # at its spoke, for a flagged one the corner between the two entry
+    # spokes that avoids it
+    spokes = _spokes(P)
+    seeds: Tuple[List[int], List[int]] = ([], [])
+    body_faces: List[Optional[int]] = []
+    for (p, c, q), t, flag in zip(runs, third, flags):
+        b = P.cells[c]
+        sp, sq = spokes[c][b.index(p)], spokes[c][b.index(q)]
+        seeds[0].extend((sp[1], sq[2]))
+        seeds[1].extend((sp[2], sq[1]))
         if t is None:
-            sides.append(None)
+            body_faces.append(None)
             continue
-        if flags[i]:
-            b = P.cells[c]
-            j = b.index(p)
-            x = p if b[(j + 1) % 3] == q else q
-            reg = region[face_of[(_c(c), _n(x))]]
-        else:
-            reg = region[face_of[(_c(c), _n(t))]]
-        sides.append(reg != outer_region)
-    return NormalCycleTrace(tuple(runs), tuple(flags),
-                            frozenset(inside), frozenset(outside),
-                            frozenset(on_curve), tuple(sides))
+        x = (p if b[(b.index(p) + 1) % 3] == q else q) if flag else t
+        body_faces.append(spokes[c][b.index(x)][2])
+
+    owner: Dict[int, int] = {}          # face -> the side that reached it
+    queues: Tuple[List[int], List[int]] = ([], [])
+    for s in (0, 1):
+        for f in seeds[s]:
+            o = owner.get(f)
+            if o is None:
+                owner[f] = s
+                queues[s].append(f)
+            elif o != s:
+                raise InternalError("curve does not separate the painting",
+                                    witness=runs)
+
+    faces = trace_faces(P)
+    outer_f = _face_index(P)[outer[0]]
+    run_set = set(run_cells)
+    reached: Dict[object, int] = {}     # off-curve cell -> its side
+    heads = [0, 0]
+    s = 0
+    while True:
+        if owner.get(outer_f) == s:     # the outside stops growing
+            s = 1 - s
+        queue = queues[s]
+        if heads[s] == len(queue):
+            break                       # side s is used up: the inside
+        f = queue[heads[s]]
+        heads[s] += 1
+        for u, _ in faces[f]:
+            if u[0] != "c" or u[1] in run_set or u[1] in reached:
+                continue
+            cid = u[1]
+            reached[cid] = s
+            for _, _, g in spokes[cid]:
+                o = owner.get(g)
+                if o is None:
+                    owner[g] = s
+                    queue.append(g)
+                elif o != s:
+                    raise InternalError("cell off the curve spans two "
+                                        "regions", witness=cid)
+        s = 1 - s
+
+    inside = frozenset(cid for cid, side in reached.items() if side == s)
+    sides = tuple(None if f is None else owner.get(f) == s
+                  for f in body_faces)
+    return NormalCycleTrace(tuple(runs), tuple(flags), inside,
+                            frozenset(on_curve), sides)

@@ -395,8 +395,12 @@ def validate_tilt(G: Graph, F: FlatnessPair, Wp: Wall,
     pair = res.pair
     classes = classify_cells(pair, pair.wall)
     for cid, cc in classes.items():
-        if cc.kind in ("external", "outer-perimetric"):
+        if cc.kind == "outer-perimetric":
             out.append(f"cell {cid} is {cc.kind}")
+    cells = pair.rendition.painting.cells
+    if len(classes) != len(cells):
+        out.extend(f"cell {cid} is external"
+                   for cid in sorted(cells.keys() - classes.keys(), key=str))
     if not is_tilt(pair.wall, Wp):
         out.append("interiors of the walls differ")
     new_internal = {cid for cid, cc in classes.items()

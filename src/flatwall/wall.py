@@ -52,8 +52,11 @@ def temp_degree(r: int) -> Dict[Coord, int]:
 
 
 def temp_hpath(r: int, j: int) -> List[Coord]:
-    vs = set(temp_vertices(r))
-    return [(x, j) for x in range(1, 2 * r + 1) if (x, j) in vs]
+    # row 1 lacks (2r, 1) and row r lacks (1, r), as in temp_vertices
+    check_height(r)
+    if not 1 <= j <= r:
+        return []
+    return [(x, j) for x in range(1 + (j == r), 2 * r + 1 - (j == 1))]
 
 
 def temp_vpath(r: int, m: int) -> List[Coord]:

@@ -1,10 +1,13 @@
 """Independent oracles used to cross-check library results.
 
 Deliberately coded without importing any library internals beyond the Graph
-value type, and by different methods than the library uses. The one
-exception is `find_homogeneous_by_tilting`, the homogeneous-subwall search
-that tilts every candidate, kept as the reference for the search that reads
-palettes off the source pair.
+value type, and by different methods than the library uses. There are two
+exceptions, each kept as the reference for a faster library method:
+- `find_homogeneous_by_tilting`, the homogeneous-subwall search that tilts
+  every candidate, for the search that reads palettes off the source pair;
+- `trace_by_union_find`, the normal-cycle trace that unites the faces
+  across every open spoke of the painting, for the flood fill that starts
+  at the curve.
 """
 from __future__ import annotations
 
@@ -133,3 +136,100 @@ def find_homogeneous_by_tilting(G: Graph, F, zeta, r: int):
                           fallback=lambda cid: src.get(cid, (cid,))[0]):
             return res
     return None
+
+
+def trace_by_union_find(P, runs, z_rule):
+    """`painting.trace_normal_cycle` by a union-find over every spoke of P.
+
+    Two faces are in one region of the disk minus the curve iff a path of
+    faces joins them across spokes that are not on the curve; every region
+    other than the one holding the outer face is inside. Raises what the
+    library raised before it traced by flood fill, in the same order.
+    """
+    from flatwall.errors import InputError, InternalError, UnsupportedError
+    from flatwall.painting import (NormalCycleTrace, _components,
+                                   _face_index, _spokes, outer_face,
+                                   trace_faces)
+
+    runs = [tuple(r) for r in runs]
+    flags = list(z_rule)
+    if len(runs) < 2:
+        raise InputError("a normal cycle needs at least two runs")
+    if len(flags) != len(runs):
+        raise InputError("one arc flag per run expected")
+    if len(_components(P)) > 1:
+        raise UnsupportedError("normal cycles on disconnected paintings")
+    run_cells = [c for _, c, _ in runs]
+    if len(set(run_cells)) != len(run_cells):
+        raise UnsupportedError("a cell hosting two runs of one normal cycle")
+    entry_nodes = [p for p, _, _ in runs]
+    if len(set(entry_nodes)) != len(entry_nodes):
+        raise InputError("curve revisits a node; not a simple closed curve")
+    third = []
+    for i, (p, c, q) in enumerate(runs):
+        if c not in P.cells:
+            raise InputError("run through unknown cell", witness=c)
+        b = P.cells[c]
+        if p == q or p not in b or q not in b:
+            raise InputError("run endpoints must be two boundary nodes",
+                             witness=runs[i])
+        nxt = runs[(i + 1) % len(runs)]
+        if q != nxt[0]:
+            raise InputError("consecutive runs must share their node",
+                             witness=[runs[i], nxt])
+        rest = [x for x in b if x not in (p, q)]
+        third.append(rest[0] if rest else None)
+        if flags[i] and third[i] is None:
+            raise InputError("arc flag set on a two-node cell", witness=c)
+
+    blocked = set()
+    on_curve = set(entry_nodes)
+    for i, (p, c, q) in enumerate(runs):
+        blocked |= {(p, c), (q, c)}
+        if flags[i]:
+            blocked.add((third[i], c))
+            on_curve.add(third[i])
+
+    parent = list(range(len(trace_faces(P))))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    spokes = _spokes(P)
+    for cid, ends in spokes.items():
+        for x, a, b in ends:
+            if (x, cid) not in blocked:
+                parent[find(b)] = find(a)
+    outer = outer_face(P)
+    if outer is None:
+        raise InputError("painting has no face matching its outer boundary")
+    face_of = _face_index(P)
+    outer_region = find(face_of[outer[0]])
+
+    inside = set()
+    run_set = set(run_cells)
+    for cid, ends in spokes.items():
+        if cid in run_set:
+            continue
+        regions = {find(b) for _, _, b in ends}
+        if len(regions) != 1:
+            raise InternalError("cell off the curve spans two regions",
+                                witness=cid)
+        if regions != {outer_region}:
+            inside.add(cid)
+
+    sides = []
+    for i, (p, c, q) in enumerate(runs):
+        if third[i] is None:
+            sides.append(None)
+            continue
+        x = third[i]
+        if flags[i]:
+            b = P.cells[c]
+            x = p if b[(b.index(p) + 1) % 3] == q else q
+        sides.append(find(face_of[(("c", c), ("n", x))]) != outer_region)
+    return NormalCycleTrace(tuple(runs), tuple(flags), frozenset(inside),
+                            frozenset(on_curve), tuple(sides))

@@ -17,6 +17,15 @@ from flatwall.wall import (Wall, admits_pegs_corners, enumerate_subwalls,
                            interior, is_tilt, temp_hpath, temp_perimeter,
                            temp_vpath)
 
+from oracles import trace_by_union_find
+
+
+def influence_by_union_find(F, cyc):
+    """The cells the cycle runs through or encloses, by the union-find."""
+    runs, flags, _ = cycle_runs(F, cyc)
+    t = trace_by_union_find(F.rendition.painting, runs, flags)
+    return t.inside_cells | {c for _, c, _ in runs}
+
 
 def test_base_fixture_valid_and_regular():
     G, F = generate_fixture(0, 3)
@@ -142,7 +151,7 @@ def test_marginal_fixture():
     marg = [cid for cid, cc in classes.items() if cc.marginal]
     assert len(marg) == 1
     assert classes[marg[0]].kind == "outer-perimetric"
-    helpers = [cid for cid, cc in classes.items() if cc.kind == "external"]
+    helpers = set(F.rendition.painting.cells) - set(classes)
     assert len(helpers) == 1
     assert not is_regular(F)
 
@@ -151,7 +160,7 @@ def test_external_fixture():
     G, F = generate_fixture(8, 5, "with-external")
     assert validate_flatness(G, F) == []
     classes = classify_cells(F, F.wall)
-    ext = [cid for cid, cc in classes.items() if cc.kind == "external"]
+    ext = set(F.rendition.painting.cells) - set(classes)
     assert len(ext) == 2
     assert not is_regular(F)
     assert all(cid not in influence(F, F.wall) for cid in ext)
@@ -161,7 +170,7 @@ def test_combined_fixture_has_every_defect():
     G, F = generate_fixture(9, 5, "combined")
     assert validate_flatness(G, F) == []
     classes = classify_cells(F, F.wall)
-    assert any(cc.kind == "external" for cc in classes.values())
+    assert set(classes) < set(F.rendition.painting.cells)
     assert any(cc.marginal for cc in classes.values())
     assert untidy_cells(F)
 
@@ -170,8 +179,9 @@ def test_influence_excludes_exactly_external():
     G, F = generate_fixture(10, 5, "combined")
     classes = classify_cells(F, F.wall)
     infl = influence(F, F.wall)
-    for cid, cc in classes.items():
-        assert (cid in infl) == (cc.kind != "external")
+    for cid in F.rendition.painting.cells:
+        assert (cid in infl) == (cid in classes)
+    assert set(infl) == influence_by_union_find(F, F.wall.perimeter)
     U = influence_union(F, F.wall)
     assert F.wall.graph.edge_set <= U.edge_set
 
@@ -288,7 +298,7 @@ def test_generated_pairs_always_validate(seed):
     G, F = generate_fixture(seed, r, profile)
     assert validate_flatness(G, F) == []
     classes = classify_cells(F, F.wall)
-    assert set(classes) == set(F.rendition.painting.cells)
+    assert set(classes) == influence_by_union_find(F, F.wall.perimeter)
 
 
 @settings(max_examples=10, deadline=None)
@@ -300,5 +310,5 @@ def test_subwalls_classify_without_error(seed):
     subs = list(enumerate_subwalls(F.wall, 3))
     _, _, S = subs[rng.randrange(len(subs))]
     classes = classify_cells(F, S)
-    assert set(classes) == set(F.rendition.painting.cells)
+    assert set(classes) == influence_by_union_find(F, S.perimeter)
     assert set(influence(F, S)) <= set(influence(F, F.wall))

@@ -115,6 +115,26 @@ def test_is_separation_examples():
     assert is_separation(P, {"a", "b"}, {"b", "c"})
 
 
+def test_is_separation_sees_a_crossing_edge_from_either_side():
+    P = Graph((), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    # L - R is the smaller difference, and b-c leaves it
+    assert not is_separation(P, {"a", "b"}, {"c", "d", "e"})
+    assert is_separation(P, {"a", "b"}, {"b", "c", "d", "e"})
+    # R - L is the smaller difference, and c-d leaves it
+    assert not is_separation(P, {"a", "b", "c"}, {"d", "e"})
+    assert is_separation(P, {"a", "b", "c", "d"}, {"d", "e"})
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        G = Graph(range(n), [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < 0.4])
+        L = {v for v in range(n) if rng.random() < 0.6}
+        R = {v for v in range(n) if v not in L or rng.random() < 0.3}
+        want = not any({u, v} & (L - R) and {u, v} & (R - L)
+                       for u, v in G.edges)
+        assert is_separation(G, L, R) == want
+
+
 def test_contract_matching_examples():
     P = Graph((), [("a", "b"), ("b", "c")])
     H, merge = contract_matching(P, [("a", "b")])

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatwall.errors import InputError, UnsupportedError
-from flatwall.painting import (Painting, trace_faces, trace_normal_cycle,
-                               validate_painting)
+from flatwall.errors import FlatwallError, InputError, UnsupportedError
+from flatwall.flatness import PROFILES, cycle_runs, generate_fixture
+from flatwall.graph import norm_edge
+from flatwall.painting import (NormalCycleTrace, Painting, trace_faces,
+                               trace_normal_cycle, validate_painting)
+from flatwall.wall import enumerate_subwalls
+
+from oracles import trace_by_union_find
 
 
 def triangle():
@@ -42,6 +47,11 @@ def ring(with_pendant=True, with_chord=True):
 
 def ring_runs():
     return [(f"n{i}", f"r{i}", f"n{i % 6 + 1}") for i in range(1, 7)]
+
+
+def outside(P, t):
+    """The cells a trace leaves out: neither run cells nor inside."""
+    return set(P.cells) - t.inside_cells - {c for _, c, _ in t.runs}
 
 
 def test_triangle_valid():
@@ -90,7 +100,7 @@ def test_ring_classification():
     P = ring()
     t = trace_normal_cycle(P, ring_runs(), [False] * 6)
     assert t.inside_cells == {"c0"}
-    assert t.outside_cells == {"x"}
+    assert outside(P, t) == {"x"}
     assert t.nodes_on_curve == {f"n{i}" for i in range(1, 7)}
 
 
@@ -98,7 +108,7 @@ def test_ring_as_outer_boundary():
     P = ring(with_pendant=False)
     t = trace_normal_cycle(P, ring_runs(), [False] * 6)
     assert t.inside_cells == {"c0"}
-    assert t.outside_cells == set()
+    assert outside(P, t) == set()
 
 
 def test_partition_property():
@@ -106,10 +116,9 @@ def test_partition_property():
     t = trace_normal_cycle(P, ring_runs(), [False] * 6)
     run_cells = {c for _, c, _ in t.runs}
     all_cells = set(P.cells)
-    assert t.inside_cells | t.outside_cells | run_cells == all_cells
-    assert not (t.inside_cells & t.outside_cells)
-    assert not (t.inside_cells & run_cells)
-    assert not (t.outside_cells & run_cells)
+    assert run_cells <= all_cells
+    assert t.inside_cells <= all_cells - run_cells
+    assert all_cells - t.inside_cells - run_cells == {"x"}
 
 
 def test_reversal_invariance():
@@ -119,7 +128,7 @@ def test_reversal_invariance():
     rev = trace_normal_cycle(P, [(q, c, p) for p, c, q in reversed(runs)],
                              [False] * 6)
     assert fwd.inside_cells == rev.inside_cells
-    assert fwd.outside_cells == rev.outside_cells
+    assert outside(P, fwd) == outside(P, rev)
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,7 +145,7 @@ def test_relabeling_invariance(seed):
     runs = [(perm[p], c, perm[q]) for p, c, q in ring_runs()]
     t = trace_normal_cycle(Q, runs, [False] * 6)
     assert t.inside_cells == {"c0"}
-    assert t.outside_cells == {"x"}
+    assert outside(Q, t) == {"x"}
 
 
 def three_node_run_fixture(m_inside):
@@ -160,7 +169,7 @@ def test_third_node_side_follows_boundary_order():
             if m_inside:
                 assert "y" in t.inside_cells
             else:
-                assert "y" in t.outside_cells
+                assert "y" in outside(P, t)
 
 
 def test_arc_flag_needs_three_nodes():
@@ -192,3 +201,62 @@ def test_disconnected_painting_rejected():
                  P.outer)
     with pytest.raises(UnsupportedError):
         trace_normal_cycle(Q, ring_runs(), [False] * 6)
+
+
+def test_flagged_third_node_on_the_curve_rejected():
+    # the flag routes the curve through n4, which it also enters from r3
+    P = ring(with_pendant=False, with_chord=False)
+    Q = Painting(P.nodes, dict(P.cells, r1=("n1", "n4", "n2")),
+                 dict(P.rotations, n4=P.rotations["n4"] + ("r1",)), P.outer)
+    with pytest.raises(InputError, match="revisits a node"):
+        trace_normal_cycle(Q, ring_runs(), [True] + [False] * 5)
+
+
+def _outcome(trace, P, runs, flags):
+    try:
+        return trace(P, runs, flags)
+    except FlatwallError as e:
+        return e.as_dict()
+
+
+def _variants(P, runs, flags):
+    """The curve; the curve with the arc flag of every 3-node run flipped;
+    and inputs that each fail one check of the trace."""
+    three = [len(P.cells[c]) == 3 for _, c, _ in runs]
+    yield runs, flags
+    yield runs, [f != t for f, t in zip(flags, three)]
+    yield runs[:-1], flags[:-1]
+    yield runs + runs[:1], flags + flags[:1]
+    yield runs, flags[:-1]
+    yield [(runs[0][0], "no-such-cell", runs[0][2])] + runs[1:], flags
+    if not all(three):
+        two = three.index(False)
+        yield runs, [f or i == two for i, f in enumerate(flags)]
+
+
+@pytest.mark.parametrize("height", [7, 9])
+def test_trace_matches_union_find_on_fixtures(height):
+    """The flood fill and the union-find over every spoke find the same
+    inside cells, run sides and errors, on the whole wall and on every
+    brick and perimeter of the first 120 3-subwalls of each profile."""
+    for profile in PROFILES:
+        _, F = generate_fixture(0, height, profile)
+        P = F.rendition.painting
+        curves = {}
+        for _, _, S in itertools.islice(enumerate_subwalls(F.wall, 3), 120):
+            for cyc in [S.perimeter] + S.bricks():
+                curves.setdefault(frozenset(
+                    norm_edge(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])),
+                    cyc)
+        for cyc in [F.wall.perimeter] + list(curves.values()):
+            runs, flags, _ = cycle_runs(F, cyc)
+            for rs, fs in _variants(P, runs, flags):
+                ours = _outcome(trace_normal_cycle, P, rs, fs)
+                ref = _outcome(trace_by_union_find, P, rs, fs)
+                if ours == ref:
+                    continue
+                # the one intended difference: a flagged third node that
+                # is also an entry node makes the curve revisit that node
+                assert isinstance(ref, NormalCycleTrace)
+                assert ours["message"].startswith("curve revisits a node")
+                assert ours["witness"] in {p for p, _, _ in rs}

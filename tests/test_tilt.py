@@ -141,6 +141,7 @@ def test_tilt_cuts_marginal_cell():
     assert srcs == {marg}
     assert len(res.provenance) == 2      # the run splits into two pieces
     classes2 = classify_cells(res.pair, res.pair.wall)
+    assert set(classes2) == set(res.pair.rendition.painting.cells)
     assert all(cc.kind in ("internal", "inner-perimetric")
                for cc in classes2.values())
     for nid in res.provenance:
@@ -150,8 +151,8 @@ def test_tilt_cuts_marginal_cell():
 def test_tilt_drops_external_cells():
     G, F = generate_fixture(8, 5, "with-external")
     res = tilt_main(G, F, F.wall)
-    kinds = {cc.kind for cc in classify_cells(res.pair, res.pair.wall).values()}
-    assert "external" not in kinds
+    classes = classify_cells(res.pair, res.pair.wall)
+    assert set(classes) == set(res.pair.rendition.painting.cells)
     comp = res.pair.compass()
     old = F.compass()
     assert comp.vertex_set < old.vertex_set

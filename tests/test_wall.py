@@ -12,7 +12,8 @@ from flatwall.wall import (PegsCorners, Wall, admits_pegs_corners,
                            enumerate_subwalls, interior, is_tilt,
                            row_selection_valid, subdivide_wall, subwall,
                            temp_bricks, temp_corners, temp_degree,
-                           temp_pegs, temp_vertices)
+                           temp_edges, temp_hpath, temp_pegs,
+                           temp_perimeter, temp_vertices, temp_vpath)
 
 import oracles
 
@@ -21,6 +22,28 @@ def random_subdivision(W, seed, max_extra=2):
     rng = random.Random(seed)
     plan = {e: rng.randint(0, max_extra) for e in W.graph.edges}
     return subdivide_wall(W, plan)
+
+
+def test_template_lines_match_the_vertex_set():
+    # the rows and the perimeter as they were read off the vertex set
+    def hpath(r, j):
+        vs = set(temp_vertices(r))
+        return [(x, j) for x in range(1, 2 * r + 1) if (x, j) in vs]
+
+    for r in range(3, 46, 2):
+        for j in range(0, r + 2):
+            assert temp_hpath(r, j) == hpath(r, j)
+        per = (temp_vpath(r, 1) + hpath(r, r)[1:]
+               + list(reversed(temp_vpath(r, r)))[1:]
+               + list(reversed(hpath(r, 1)))[1:-1])
+        assert temp_perimeter(r) == per
+        edges = {frozenset(e) for e in temp_edges(r)}
+        for m in range(1, r + 1):
+            path = temp_vpath(r, m)
+            assert path[0] == (2 * m - 1, 1) and path[-1][1] == r
+            assert all(frozenset(e) in edges for e in zip(path, path[1:]))
+        assert all(frozenset(e) in edges
+                   for e in zip(per, per[1:] + per[:1]))
 
 
 def test_elementary_counts():
