@@ -11,6 +11,23 @@ W-bullet must appear in R_W, so R_W is the quotient of W-bullet that
 collapses every ground-free component to a single flap-vertex. The only
 freedom left is which flap labels the component, and the remaining checks
 are the component shapes and the boundary cycle identity.
+
+The search builds its tables once per pair (`_Index`) and reads them for
+every component, so a representation costs the flaps of the pair and not
+the flaps times the components. The indexed candidates equal the scan over
+every cell that they replace:
+
+- the own flap of a component with a wall vertex v is the first cell, in
+  sigma order, holding v off its boundary; `owner` records that first cell
+  for every such vertex while walking sigma in the same order;
+- a cell whose boundary holds all the attachments holds the first one, so
+  the cells at `attachments[0]`, kept in `sorted(sigma, key=str)` order and
+  filtered by `attachments <= boundary`, are exactly the cells the scan
+  keeps, in the scan's order.
+
+A component's edges are the edges at its vertices, read from the adjacency
+of W-bullet; they form the same edge set as the scan over every edge of
+W-bullet, and `Graph` does not depend on the order it is given edges in.
 """
 from __future__ import annotations
 
@@ -83,15 +100,38 @@ class _Component:
     legs: Dict[object, Tuple]      # attachment ground -> path from center
 
 
+class _Index:
+    """The tables `_candidates` reads, built once per pair."""
+
+    __slots__ = ("trivial", "boundary", "at", "owner")
+
+    def __init__(self, F: FlatnessPair):
+        R = F.rendition
+        # edge of a trivial flap -> its cell
+        self.trivial = {f.graph.edges[0]: cid for cid, f in flaps(F).items()
+                        if f.trivial}
+        # cell -> pi of its boundary
+        self.boundary = {cid: R.pi_boundary(cid) for cid in R.sigma}
+        # ground vertex -> the cells with it on their boundary, str order
+        self.at: Dict[object, List] = {}
+        for cid in sorted(R.sigma, key=str):
+            for x in self.boundary[cid]:
+                self.at.setdefault(x, []).append(cid)
+        # vertex -> the first cell, in sigma order, holding it off its
+        # boundary
+        self.owner: Dict[object, object] = {}
+        for cid, g in R.sigma.items():
+            for v in g.vertex_set - self.boundary[cid]:
+                self.owner.setdefault(v, cid)
+
+
 def _components_of_bullet(F: FlatnessPair, Wb: Graph):
     """Ground-free pieces of w_bullet with their legs; None on a bad shape."""
     ground = F.ground()
     inner = Wb.remove_vertices(ground)
     comps = []
     for comp in inner.components():
-        edges = [e for e in Wb.edges
-                 if e[0] in comp or e[1] in comp]
-        H = Graph((), edges)
+        H = Graph((), [(v, u) for v in comp for u in Wb.neighbors(v)])
         att = sorted((v for v in H.vertices if v in ground), key=vkey)
         centers = [v for v in comp if H.degree(v) == 3]
         if any(H.degree(v) > 3 for v in comp) or len(centers) > 1:
@@ -116,34 +156,26 @@ def _components_of_bullet(F: FlatnessPair, Wb: Graph):
     return comps, None
 
 
-def _candidates(F: FlatnessPair, comp: _Component) -> List:
+def _candidates(ix: _Index, comp: _Component) -> List:
     """Flaps usable as the label of a component, own flap first."""
-    R = F.rendition
-    trivial = {f.graph.edges[0]: cid for cid, f in flaps(F).items()
-               if f.trivial}
     own = []
     wall_vs = [v for v in comp.vertices if not (isinstance(v, tuple)
                                                 and v and v[0] == "s")]
     if not wall_vs:
         (s,) = comp.vertices
         e = (s[1], s[2])
-        if e in trivial:
-            own.append(trivial[e])
-    else:
-        for cid, g in R.sigma.items():
-            if wall_vs[0] in g.vertex_set and wall_vs[0] not in \
-                    R.pi_boundary(cid):
-                own.append(cid)
-                break
-    rest = [cid for cid in sorted(R.sigma, key=str)
-            if cid not in own
-            and set(comp.attachments) <= R.pi_boundary(cid)]
+        if e in ix.trivial:
+            own.append(ix.trivial[e])
+    elif wall_vs[0] in ix.owner:
+        own.append(ix.owner[wall_vs[0]])
+    att = set(comp.attachments)
+    rest = [cid for cid in ix.at.get(comp.attachments[0], ())
+            if cid not in own and att <= ix.boundary[cid]]
     return own + rest
 
 
-def _quotient_wall(F: FlatnessPair, Wb_wall: Wall,
+def _quotient_wall(ground: FrozenSet, Wb_wall: Wall,
                    label: Dict[FrozenSet, object]) -> Wall:
-    ground = F.ground()
     vmap = {}
     for comp_vs, cid in label.items():
         for v in comp_vs:
@@ -181,16 +213,16 @@ def _reconstructs(rep: Representation, Wb: Graph) -> bool:
     return got.vertex_set == Wb.vertex_set and got.edge_set == Wb.edge_set
 
 
-def _build(F: FlatnessPair, label: Dict[FrozenSet, object],
-           comps: List[_Component], Wb_wall: Wall,
-           Wb: Graph) -> Optional[Representation]:
-    RW = _quotient_wall(F, Wb_wall, label)
+def _build(label: Dict[FrozenSet, object], comps: List[_Component],
+           Wb_wall: Wall, Wb: Graph, ground: FrozenSet,
+           walk: Optional[Tuple]) -> Optional[Representation]:
+    RW = _quotient_wall(ground, Wb_wall, label)
     if RW.validate():
         return None
     rho: Dict[Tuple, object] = {}
     tau: Dict[Tuple, Tuple] = {}
     for x in Wb.vertices:
-        if x in F.ground():
+        if x in ground:
             rho[x] = x
     for comp in comps:
         v = _fv(label[comp.vertices])
@@ -200,7 +232,6 @@ def _build(F: FlatnessPair, label: Dict[FrozenSet, object],
     rep = Representation(RW, rho, tau)
     if not _reconstructs(rep, Wb):
         return None
-    walk = _leveling_boundary_walk(F)
     if walk is None or len(set(walk)) != len(walk):
         return None
     if not cyclic_equal(walk, RW.perimeter):
@@ -208,46 +239,67 @@ def _build(F: FlatnessPair, label: Dict[FrozenSet, object],
     return rep
 
 
-def _search(F: FlatnessPair, limit: int):
+_NONE = object()
+
+
+def _search(F: FlatnessPair, limit: int) -> Optional[Representation]:
+    """Label every component with a distinct candidate flap, depth first.
+
+    Components with fewer candidates come first. Each complete labelling
+    is a leaf; the leaf after the first `limit` raises `CapacityError`.
+    The per-pair tables (`_Index`, the ground, the boundary walk) are
+    built here once, and an explicit stack of option iterators replaces
+    recursion, so the depth is not bounded by the number of components.
+    """
     Wb_wall = _bullet_wall(F)
     Wb = Wb_wall.graph
     comps, bad = _components_of_bullet(F, Wb)
     if comps is None:
         return None
-    cands = [(comp, _candidates(F, comp)) for comp in comps]
+    ix = _Index(F)
+    cands = [(comp, _candidates(ix, comp)) for comp in comps]
     cands.sort(key=lambda t: len(t[1]))
+    ground = F.ground()
+    walk = _leveling_boundary_walk(F)
     tried = 0
-
-    def rec(i, used, label):
-        nonlocal tried
-        if i == len(cands):
+    used = set()
+    label: Dict[FrozenSet, object] = {}
+    stack = []                     # option iterators of cands[:len(stack)]
+    while True:
+        if len(stack) == len(cands):
             tried += 1
             if tried > limit:
                 raise CapacityError("well-alignment search over the limit")
-            return _build(F, label, comps, Wb_wall, Wb)
-        comp, opts = cands[i]
-        for cid in opts:
-            if cid in used:
-                continue
-            used.add(cid)
-            label[comp.vertices] = cid
-            got = rec(i + 1, used, label)
+            got = _build(label, comps, Wb_wall, Wb, ground, walk)
             if got is not None:
                 return got
-            used.discard(cid)
-            del label[comp.vertices]
-        return None
-
-    return rec(0, set(), {})
+        else:
+            stack.append(iter(cands[len(stack)][1]))
+        # move the deepest component to its next unused option, backing
+        # up past components whose options are used up
+        while stack:
+            key = cands[len(stack) - 1][0].vertices
+            if key in label:
+                used.discard(label.pop(key))
+            cid = next((c for c in stack[-1] if c not in used), _NONE)
+            if cid is not _NONE:
+                used.add(cid)
+                label[key] = cid
+                break
+            stack.pop()
+        if not stack:
+            return None
 
 
 def representation(F: FlatnessPair) -> Representation:
+    """The representation of a regular pair.
+
+    Raises `CapacityError` when the search runs past its limit and
+    `InternalError` when it finishes without one.
+    """
     if not is_regular(F):
         raise InputError("representation requires a regular pair")
-    try:
-        rep = _search(F, limit=50)
-    except CapacityError:
-        rep = None
+    rep = _search(F, limit=50)
     if rep is None:
         raise InternalError(
             "no representation found for a regular pair")
@@ -256,9 +308,9 @@ def representation(F: FlatnessPair) -> Representation:
 
 def is_well_aligned(F: FlatnessPair, limit: int = 2000) -> Union[bool, str]:
     """True / False, or "unknown" when the bounded search is exhausted."""
-    if is_regular(F):
-        return representation(F) is not None
     try:
+        if is_regular(F):
+            return representation(F) is not None
         rep = _search(F, limit=limit)
     except CapacityError:
         return "unknown"

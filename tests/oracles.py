@@ -7,7 +7,10 @@ exceptions, each kept as the reference for a faster library method:
   every candidate, for the search that reads palettes off the source pair;
 - `trace_by_union_find`, the normal-cycle trace that unites the faces
   across every open spoke of the painting, for the flood fill that starts
-  at the curve.
+  at the curve;
+- `components_by_scan` and `candidates_by_scan`, the per-component scans
+  of every edge of W-bullet and every cell of the rendition, for the
+  leveling search that reads adjacency and tables built once per pair.
 """
 from __future__ import annotations
 
@@ -233,3 +236,70 @@ def trace_by_union_find(P, runs, z_rule):
         sides.append(find(face_of[(("c", c), ("n", x))]) != outer_region)
     return NormalCycleTrace(tuple(runs), tuple(flags), frozenset(inside),
                             frozenset(on_curve), tuple(sides))
+
+
+def components_by_scan(F, Wb: Graph):
+    """`leveling._components_of_bullet`, gathering each component's edges by
+    a scan over every edge of W-bullet (unsorted: `Graph` does not depend
+    on the order it is given edges in)."""
+    from flatwall.graph import vkey
+    from flatwall.leveling import _Component
+
+    ground = F.ground()
+    inner = Wb.remove_vertices(ground)
+    comps = []
+    for comp in inner.components():
+        edges = [e for e in Wb.edge_set
+                 if e[0] in comp or e[1] in comp]
+        H = Graph((), edges)
+        att = sorted((v for v in H.vertices if v in ground), key=vkey)
+        centers = [v for v in comp if H.degree(v) == 3]
+        if any(H.degree(v) > 3 for v in comp) or len(centers) > 1:
+            return None, comp
+        if centers:
+            if len(att) != 3:
+                return None, comp
+            w = centers[0]
+        else:
+            if len(att) != 2:
+                return None, comp
+            path = H.shortest_path(att[0], att[1])
+            if len(path) != H.n or H.m != len(path) - 1:
+                return None, comp
+            w = path[(len(path) - 1) // 2]
+        legs = {}
+        for x in att:
+            legs[x] = tuple(H.shortest_path(w, x))
+        if sum(len(p) - 1 for p in legs.values()) != H.m:
+            return None, comp
+        comps.append(_Component(frozenset(comp), tuple(att), w, legs))
+    return comps, None
+
+
+def candidates_by_scan(F, comp):
+    """`leveling._candidates` by a scan over every cell of the rendition:
+    the own flap first, then every other cell whose boundary holds all the
+    attachments, in `sorted(sigma, key=str)` order."""
+    from flatwall.flatness import flaps
+
+    R = F.rendition
+    trivial = {f.graph.edges[0]: cid for cid, f in flaps(F).items()
+               if f.trivial}
+    own = []
+    wall_vs = [v for v in comp.vertices if not (isinstance(v, tuple)
+                                                and v and v[0] == "s")]
+    if not wall_vs:
+        (s,) = comp.vertices
+        e = (s[1], s[2])
+        if e in trivial:
+            own.append(trivial[e])
+    else:
+        for cid, g in R.sigma.items():
+            if wall_vs[0] in g.vertex_set and wall_vs[0] not in \
+                    R.pi_boundary(cid):
+                own.append(cid)
+                break
+    rest = [cid for cid in sorted(R.sigma, key=str)
+            if cid not in own
+            and set(comp.attachments) <= R.pi_boundary(cid)]
+    return own + rest

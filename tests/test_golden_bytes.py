@@ -57,6 +57,14 @@ def test_regularize_and_representation_bytes():
         "b97498c980aa491217727938dc08b2344cbad285554f71c10500873f47462636")
 
 
+def test_representation_bytes_at_height_21():
+    # taken from the recursive search with the recursion limit raised
+    G, F = generate_fixture(0, 21, "with-flaps")
+    out = regularize(G, F)
+    assert _sha(representation_to_json(representation(out))) == (
+        "45834ebd91481e23a1be308961f98f0cbee981d3c789c9f88d37c6c6f4250da2")
+
+
 @pytest.mark.parametrize("height, t, kind, digest", [
     # below the height the compass search needs, the driver reports a minor
     (9, 2, "minor",

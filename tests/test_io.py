@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import flatwall.leveling
 import flatwall.serialize
 from flatwall.cli import load_oracle, load_params, main
 from flatwall.config import Params
@@ -17,10 +18,11 @@ from flatwall.errors import (CapacityError, InputError, InternalError,
                              UsageError)
 from flatwall.flatness import generate_fixture, is_regular, validate_flatness
 from flatwall.graph import Graph, TreeDecomposition
+from flatwall.leveling import Representation
 from flatwall.pipeline import (ScriptedOracle, flat_wall_driver,
                                validate_driver_outcome)
 from flatwall.serialize import (CertificateBundle, ParseError, SchemaError,
-                                bundle_to_json, canonical_bytes,
+                                bundle_to_json, canonical_bytes, dec,
                                 decomposition_from_json,
                                 decomposition_to_json, graph_from_json,
                                 graph_to_json, model_from_json, model_to_json,
@@ -28,7 +30,10 @@ from flatwall.serialize import (CertificateBundle, ParseError, SchemaError,
                                 read_bundle, rendition_from_json,
                                 rendition_to_json, wall_from_json,
                                 wall_to_json, write_bundle)
+from flatwall.tilt import regularize
 from flatwall.wall import elementary_wall, subdivide_wall
+
+from test_leveling import check_representation
 
 
 # -- round trips -----------------------------------------------------------
@@ -318,6 +323,33 @@ def test_cli_leveling_with_representation(tmp_path):
     b = read_bundle(out)
     assert b.kind == "leveling"
     assert "representation" in b.payload
+
+
+def test_cli_leveling_representation_at_height_21(tmp_path):
+    G, F = generate_fixture(0, 21, "with-flaps")
+    F = regularize(G, F)
+    path = tmp_path / "pair.json"
+    write_bundle(path, CertificateBundle("flatness-pair", pair_to_json(G, F)))
+    out = tmp_path / "lev.json"
+    res = runner.invoke(main, ["leveling", "--pair", str(path),
+                               "--representation", "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    d = read_bundle(out).payload["representation"]
+    rep = Representation(
+        wall_from_json(d["wall"]), {dec(k): dec(v) for k, v in d["rho"]},
+        {dec(k): tuple(dec(v) for v in p) for k, p in d["tau"]})
+    check_representation(F, rep)
+
+
+def test_cli_leveling_exhausted_search_exits_3(tmp_path, monkeypatch):
+    path, G, F = write_pair(tmp_path, 8, 5)
+    search = flatwall.leveling._search
+    monkeypatch.setattr(flatwall.leveling, "_search",
+                        lambda F, limit: search(F, 0))
+    res = runner.invoke(main, ["leveling", "--pair", str(path),
+                               "--representation"])
+    assert res.exit_code == 3, res.output
+    assert json.loads(res.stderr)["error"]["code"] == "CapacityError"
 
 
 def test_cli_find_wall_decomposition(tmp_path):
