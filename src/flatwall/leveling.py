@@ -307,11 +307,13 @@ def representation(F: FlatnessPair) -> Representation:
 
 
 def is_well_aligned(F: FlatnessPair, limit: int = 2000) -> Union[bool, str]:
-    """True / False, or "unknown" when the bounded search is exhausted."""
+    """True / False, or "unknown" when the search runs past `limit`. A
+    regular pair whose finished search finds no representation raises
+    `InternalError`."""
     try:
-        if is_regular(F):
-            return representation(F) is not None
         rep = _search(F, limit=limit)
     except CapacityError:
         return "unknown"
+    if rep is None and is_regular(F):
+        raise InternalError("no representation found for a regular pair")
     return rep is not None

@@ -243,16 +243,30 @@ def check_tightness(G: Graph, R: Rendition) -> TightnessReport:
 
 
 class _Work:
-    """Mutable copy of a rendition while transformations run."""
+    """Mutable copy of a rendition while transformations run.
 
-    def __init__(self, R: Rendition):
+    The editor that puts new cells into the rotation system: `tighten`
+    repairs through it, and so does the tilt (`tilt.tilt_main`), which
+    copies only the cells it keeps and replaces its outer-perimetric cells
+    by chains. So one planar-placement search, `replace_cells`, serves both.
+    """
+
+    def __init__(self, R: Rendition, keep: Optional[Set] = None):
+        """A copy of R; given `keep`, only of those cells, their flaps and
+        the nodes that meet one of them."""
         P = R.painting
-        self.nodes = list(P.nodes)
-        self.cells = {c: tuple(b) for c, b in P.cells.items()}
-        self.rotations = {n: list(r) for n, r in P.rotations.items()}
+        self.cells = {c: tuple(b) for c, b in P.cells.items()
+                      if keep is None or c in keep}
+        self.rotations = {n: [c for c in r if c in self.cells]
+                          for n, r in P.rotations.items()}
+        if keep is None:
+            self.nodes = list(P.nodes)
+        else:
+            self.rotations = {n: r for n, r in self.rotations.items() if r}
+            self.nodes = list(self.rotations)
         self.outer = tuple(P.outer)
-        self.sigma = dict(R.sigma)
-        self.pi = dict(R.pi)
+        self.sigma = {c: R.sigma[c] for c in self.cells}
+        self.pi = {n: R.pi[n] for n in self.nodes}
         self.omega = tuple(R.omega)
         self._names = fresh_names(self.cells, prefix="t")
 
@@ -273,33 +287,52 @@ class _Work:
         for n in self.rotations:
             self.rotations[n] = [c for c in self.rotations[n] if c != cid]
 
-    def replace_cell(self, old, new: Dict[object, Tuple]):
-        """Replace cell `old` by new cells living inside its disk.
+    def replace_cells(self, replacements: Dict[object, Dict[object, Tuple]]
+                      ) -> Painting:
+        """Replace each old cell by the new cells {new_cid: boundary} that
+        live inside its disk, and return the painting that results.
 
-        New boundaries are subsets of the old one; the per-node insertion
-        order is searched so the rotation system stays planar.
+        At each node of an old boundary, the new cells there take the old
+        cell's place in the rotation; a node new to the cell gets the new
+        cells that meet it, in the order given. The insertion orders at all
+        nodes are searched together, over the product of their sorted
+        permutations, until the painting is planar. The flap of an old cell
+        that is not among its new cells goes; the caller gives the new
+        flaps. A node of an old boundary that no cell meets any more stops
+        being a node: in a tilt, the unflagged third node of an
+        outer-perimetric cell. It never happens in `tighten`: `_split_cell`
+        covers every boundary node, and `_step_i` keeps the old cell.
         """
-        old_boundary = self.cells[old]
-        base_rot = {n: list(r) for n, r in self.rotations.items()}
-        at_node = {n: sorted(c for c, b in new.items() if n in b)
-                   for n in old_boundary}
-        orders = []
-        for n in old_boundary:
-            perms = sorted(set(itertools.permutations(at_node[n])))
-            orders.append(perms)
-        del self.cells[old]
-        for cid, b in new.items():
-            self.cells[cid] = tuple(b)
-        for combo in itertools.product(*orders):
-            rot = {n: list(r) for n, r in base_rot.items()}
-            for n, order in zip(old_boundary, combo):
+        slots = []
+        for old, new in replacements.items():
+            old_boundary = self.cells.pop(old)
+            if old not in new:
+                del self.sigma[old]
+            for n in old_boundary:
+                at = sorted(c for c, b in new.items() if n in b)
+                slots.append((n, old, sorted(set(itertools.permutations(at)))))
+            for cid, b in new.items():
+                self.cells[cid] = tuple(b)
+                for n in b:
+                    if n not in old_boundary:
+                        self.rotations[n] = self.rotations.get(n, []) + [cid]
+        for combo in itertools.product(*(orders for _, _, orders in slots)):
+            rot = dict(self.rotations)
+            for (n, old, _), order in zip(slots, combo):
                 i = rot[n].index(old)
                 rot[n] = rot[n][:i] + list(order) + rot[n][i + 1:]
-            self.rotations = rot
-            if not validate_painting(self.painting()):
-                return
+            gone = {n for n, _, _ in slots if not rot[n]}
+            for n in gone:
+                del rot[n]
+            nodes = [n for n in self.nodes if n not in gone]
+            P = Painting(nodes, self.cells, rot, self.outer)
+            if not validate_painting(P):
+                self.nodes, self.rotations = nodes, rot
+                for n in gone:
+                    del self.pi[n]
+                return P
         raise InternalError("no planar placement for cell replacement",
-                            witness=old)
+                            witness=list(replacements))
 
 
 def _step_i(w: _Work, loose: List[Tuple]) -> bool:
@@ -326,7 +359,7 @@ def _step_i(w: _Work, loose: List[Tuple]) -> bool:
         if not new:
             continue
         changed = True
-        w.replace_cell(cid, {**new, cid: w.cells[cid]})
+        w.replace_cells({cid: {**new, cid: w.cells[cid]}})
         w.sigma[cid] = g.remove_edges(boundary_map.values())
         for nid, (u, v) in boundary_map.items():
             w.sigma[nid] = Graph((), [(u, v)])
@@ -367,8 +400,7 @@ def _split_cell(w: _Work, cid, classes: List[Set]):
         nid = w.fresh()
         w.sigma[nid] = g.subgraph(c)
         new[nid] = tuple(x for x in w.cells[cid] if w.pi[x] in c)
-    w.replace_cell(cid, new)
-    del w.sigma[cid]
+    w.replace_cells({cid: new})
 
 
 def _step_iv(w: _Work, groups: List[Tuple]) -> bool:

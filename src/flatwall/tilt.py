@@ -4,7 +4,10 @@ The central construction takes a flatness pair and a subwall W' and rebuilds
 the certificate so that every cell is internal or inner-perimetric for a
 wall with the same interior as W'. Outer-perimetric cells are cut open: the
 wall is rerouted through a shortest path of the flap and the cell is
-replaced by a chain of small cells, one per stretching piece.
+replaced by a chain of small cells, one per stretching piece. The painting
+surgery goes through the tightening editor `rendition._Work`: the tilt
+copies the cells it keeps and puts every chain in with one `replace_cells`
+call, so the tilt and `tighten` share one planar-placement search.
 
 A second pass removes untidiness: a cell hiding two wall edges at one
 ground vertex gets the wall rerouted around that vertex, one cell per
@@ -12,7 +15,6 @@ round, without touching the rendition.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -22,8 +24,7 @@ from .flatness import (FlatnessPair, classify_cells, cycle_runs, influence,
                        is_regular, untidy_cells, untidy_vertices,
                        validate_flatness)
 from .graph import Graph, max_vertex_disjoint_paths, norm_edge, vkey
-from .painting import Painting, validate_painting
-from .rendition import Rendition, flap_union
+from .rendition import Rendition, _Work, flap_union
 from .wall import PegsCorners, Wall, fresh_names, is_tilt, temp_degree
 
 
@@ -282,99 +283,38 @@ def tilt_main(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
                                         witness=cand)
     pegs |= corners
 
-    # painting surgery: drop external and outer-perimetric cells, replace
-    # the latter with chains of 2-node cells along their stretchings
-    keep = set(kept_internal) | set(ip)
+    # painting surgery through the tightening editor: keep the internal
+    # and perimetric cells, then replace each outer-perimetric cell by a
+    # chain of 2-node cells along its stretching
+    w = _Work(R, keep=kept_internal | set(ip) | set(op))
     node_names = fresh_names(P0.nodes, prefix="q")
-
     node_of: Dict[object, object] = {}
-    chain_ids: Dict[object, List[str]] = {}
     provenance: Dict[str, Tuple] = {}
-    new_sigma: Dict[object, Graph] = {}
-    new_pi: Dict[object, object] = {}
-    cells: Dict[object, Tuple] = {}
-
+    replacements = {}
     for cid in sorted(op, key=str):
         st = chains[cid]
-        ids = []
-        for i in range(st.r):
+        pts = (st.x,) + st.junctions + (st.y,)
+        for v in pts:
+            node_of[v] = pi_inv[v] if v in pi_inv else next(node_names)
+            if node_of[v] not in w.pi:
+                w.nodes.append(node_of[v])
+                w.pi[node_of[v]] = v
+        new = {}
+        for i, piece in enumerate(st.pieces):
             nid = f"t|{cid}|{i}"
             while nid in P0.cells:
                 nid += "+"
-            ids.append(nid)
             provenance[nid] = (cid, i)
-            new_sigma[nid] = Graph((), zip(st.pieces[i], st.pieces[i][1:]))
-        chain_ids[cid] = ids
-        for v in (st.x,) + st.junctions + (st.y,):
-            if v in pi_inv:
-                node_of[v] = pi_inv[v]
-            else:
-                node_of[v] = next(node_names)
-            new_pi[node_of[v]] = v
-        pts = [st.x] + list(st.junctions) + [st.y]
-        for i, nid in enumerate(ids):
-            cells[nid] = (node_of[pts[i]], node_of[pts[i + 1]])
-
-    rot: Dict[object, List] = {}
-    ambiguous: List[Tuple[object, int, Tuple[str, str]]] = []
-    for n in P0.nodes:
-        out: List = []
-        v = R.pi.get(n)
-        for cid in P0.rotations.get(n, ()):
-            if cid in keep:
-                out.append(cid)
-            elif cid in chains:
-                st = chains[cid]
-                ids = chain_ids[cid]
-                if v == st.x:
-                    out.append(ids[0])
-                elif v == st.y:
-                    out.append(ids[-1])
-                elif v in st.junctions:
-                    i = st.junctions.index(v)
-                    ambiguous.append((n, len(out), (ids[i], ids[i + 1])))
-                    out.append(None)
-                    out.append(None)
-        if out:
-            rot[n] = out
-            new_pi[n] = R.pi[n]
-    for cid in sorted(op, key=str):
-        st = chains[cid]
-        ids = chain_ids[cid]
-        for i, v in enumerate(st.junctions):
-            n = node_of[v]
-            if n not in rot:
-                rot[n] = [ids[i], ids[i + 1]]
-    for cid in keep:
-        cells[cid] = P0.cells[cid]
-        new_sigma[cid] = R.sigma[cid]
-
-    omega = tuple(v for v in Wtil.perimeter if v in V_mid)
-    outer = tuple(node_of.get(v, pi_inv.get(v)) for v in omega)
-    if any(n is None for n in outer):
-        raise InternalError("boundary vertex without a node", witness=omega)
-
-    def painting_for(rotmap):
-        return Painting(list(rotmap), cells,
-                        {n: tuple(r) for n, r in rotmap.items()}, outer)
-
-    Pn = None
-    options = []
-    for n, pos, pair in ambiguous:
-        options.append([(n, pos, pair), (n, pos, (pair[1], pair[0]))])
-    for combo in itertools.product(*options) if options else [()]:
-        trial = {n: list(r) for n, r in rot.items()}
-        for n, pos, pair in combo:
-            trial[n][pos], trial[n][pos + 1] = pair
-        cand = painting_for(trial)
-        if not validate_painting(cand):
-            Pn = cand
-            break
-    if Pn is None:
-        raise InternalError("no planar placement for the cell chains")
-
-    new_pi = {n: new_pi[n] for n in Pn.nodes}
-    Rn = Rendition(Pn, new_sigma, new_pi, omega)
+            w.sigma[nid] = Graph((), zip(piece, piece[1:]))
+            new[nid] = (node_of[pts[i]], node_of[pts[i + 1]])
+        replacements[cid] = new
+    w.omega = tuple(v for v in Wtil.perimeter if v in V_mid)
+    w.outer = tuple(node_of.get(v, pi_inv.get(v)) for v in w.omega)
+    if any(n is None for n in w.outer):
+        raise InternalError("boundary vertex without a node", witness=w.omega)
+    # built on the painting the search validated, so that validate_flatness
+    # finds its verdict kept
+    Rn = Rendition(w.replace_cells(replacements), w.sigma, w.pi, w.omega)
     pair = FlatnessPair(Wtil, Xp, Yp, PegsCorners(frozenset(pegs),
                                                   frozenset(corners)), Rn)
     bad = validate_flatness(G, pair, lenient_pegs=True)
@@ -538,16 +478,13 @@ def repair_untidy(G: Graph, F: FlatnessPair) -> FlatnessPair:
 
 def regularize(G: Graph, F: FlatnessPair) -> FlatnessPair:
     """A regular pair of F's height whose compass lies in F's; the final
-    tilt validates it against G."""
+    tilt validates it against G. `repair_untidy` keeps F's rendition, so
+    the tilt's own check that its compass lies in the influence of the
+    tidy wall already bounds it by F's compass."""
     tidy = repair_untidy(G, F)
-    res = tilt_main(G, tidy, tidy.wall)
-    out = res.pair
+    out = tilt_main(G, tidy, tidy.wall).pair
     if not is_regular(out):
         raise InternalError("regularization left an irregular pair")
     if out.wall.height != F.wall.height:
         raise InternalError("regularization changed the wall height")
-    old_v, old_e = flap_union(F.rendition.sigma.values())
-    new_v, new_e = flap_union(out.rendition.sigma.values())
-    if not (new_v <= old_v and new_e <= old_e):
-        raise InternalError("regularized compass grew")
     return out

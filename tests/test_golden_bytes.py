@@ -1,13 +1,15 @@
-"""Pinned canonical bytes of the search, the transforms, the driver,
-tightening and the min-fill decomposition.
+"""Pinned canonical bytes of the search, the transforms, the tilts, the
+driver, tightening and the min-fill decomposition.
 
 The hashes were taken from the library before the tilt self-checks were
 memoised, the tightening hash before `tighten` took its worklists from the
 detectors of `check_tightness` (and again when it stopped keeping the
 condition (v) notes of passes before its last, which changed the notes of
-17 `separated_fan` draws and no rendition), and the min-fill hash from the
-scan that sorted every remaining vertex on each step. The driver hashes were
-taken again when the unused parameter function f_confrontation left the
+17 `separated_fan` draws and no rendition), the min-fill hash from the scan
+that sorted every remaining vertex on each step, and the tilt-corpus hash
+from the tilt that built its rotation system by hand instead of through the
+tightening editor. The driver hashes were taken again when the unused
+parameter function f_confrontation left the
 `params` of every outcome. A change that only makes the library faster or
 smaller must leave every one of them as it is; a deliberate change of the
 output updates them.
@@ -18,6 +20,7 @@ import random
 import pytest
 
 from flatwall.config import unit_params
+from flatwall.errors import FlatwallError
 from flatwall.flatness import generate_fixture
 from flatwall.graph import min_fill_decomposition, vkey
 from flatwall.homogeneity import example_coloring, find_homogeneous
@@ -28,8 +31,10 @@ from flatwall.rendition import check_tightness, tighten
 from flatwall.serialize import (canonical_bytes, outcome_to_json,
                                 pair_to_json, representation_to_json,
                                 rendition_to_json)
-from flatwall.tilt import regularize
-from flatwall.wall import choices_of_pegs_corners, elementary_wall
+from flatwall.serialize import enc
+from flatwall.tilt import compute_tilt, regularize
+from flatwall.wall import (choices_of_pegs_corners, elementary_wall,
+                           enumerate_subwalls)
 
 from test_rendition import (ground_separator_rendition, random_chords,
                             ring_rendition, separated_fan,
@@ -63,6 +68,30 @@ def test_representation_bytes_at_height_21():
     out = regularize(G, F)
     assert _sha(representation_to_json(representation(out))) == (
         "45834ebd91481e23a1be308961f98f0cbee981d3c789c9f88d37c6c6f4250da2")
+
+
+def test_tilt_corpus_bytes():
+    # every 3-subwall tilt of three defect profiles; the with-untidy2
+    # subwalls whose tilt fails its own check (ROADMAP item 9) give their
+    # error instead
+    digest = hashlib.sha256()
+    for profile in ("with-untidy", "with-untidy2", "combined"):
+        for seed in range(4):
+            G, F = generate_fixture(seed, 5, profile)
+            for rows, cols, Wp in enumerate_subwalls(F.wall, 3):
+                try:
+                    res = compute_tilt(G, F, Wp)
+                except FlatwallError as exc:
+                    out = [type(exc).__name__, str(exc)]
+                else:
+                    out = [pair_to_json(G, res.pair),
+                           [[enc(k), enc(c), i] for k, (c, i) in
+                            sorted(res.provenance.items(),
+                                   key=lambda kv: vkey(kv[0]))]]
+                digest.update(canonical_bytes([profile, seed, rows, cols,
+                                               out]))
+    assert digest.hexdigest() == (
+        "d612d9b85ba3dce879c705c5fe3ae37ef46f114941df698b732291537af2d012")
 
 
 @pytest.mark.parametrize("height, t, kind, digest", [

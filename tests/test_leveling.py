@@ -267,3 +267,12 @@ def test_finished_search_without_representation_is_internal(monkeypatch):
     monkeypatch.setattr(leveling, "_build", lambda *args: None)
     with pytest.raises(InternalError):
         representation(F)
+    with pytest.raises(InternalError):
+        is_well_aligned(F)
+
+
+def test_well_alignment_of_a_regular_pair_keeps_the_limit():
+    G, F = generate_fixture(9, 5, "with-flaps")
+    assert is_regular(F)
+    assert is_well_aligned(F, limit=0) == "unknown"
+    assert is_well_aligned(F) is True

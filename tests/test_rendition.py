@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatwall.errors import InputError
+from flatwall.errors import InputError, InternalError
 from flatwall.flatness import generate_fixture
 from flatwall.graph import Graph
 from flatwall import rendition
-from flatwall.painting import Painting
+from flatwall.painting import Painting, validate_painting
 from flatwall.rendition import (Rendition, check_tightness, tighten,
                                 validate_rendition)
 
@@ -380,3 +380,72 @@ def test_condition_v_notes_name_the_cells_left_unlinked(repair, monkeypatch):
         unlinked = check_tightness(G, T).status("v")
         assert [n.split()[5].rstrip(":") for n in notes] == unlinked
         assert bool(unlinked) != repair
+
+
+# -- the cell-replacement editor -------------------------------------------
+
+
+def ring_with_cell(bnd):
+    """The ring of `ring_rendition` with one more cell "c" on bnd, placed
+    between the two ring cells at each ring node; a node of bnd off the
+    ring meets "c" only."""
+    G, R = ring_rendition()
+    P = R.painting
+    rot = {n: list(r) for n, r in P.rotations.items()}
+    pi = dict(R.pi)
+    for n in bnd:
+        if n in rot:
+            rot[n].insert(1, "c")
+        else:
+            rot[n], pi[n] = ["c"], f"h{n}"
+    cells = dict(P.cells, c=bnd)
+    sigma = dict(R.sigma, c=Graph([pi[n] for n in bnd], ()))
+    P = Painting(list(pi), cells, rot, P.outer)
+    assert validate_painting(P) == []
+    return Rendition(P, sigma, pi, R.omega)
+
+
+def test_replace_cells_two_cells_a_new_node_and_a_freed_node():
+    w = rendition._Work(ring_with_cell(("n1", "n3", "x")))
+    w.nodes.append("q")
+    w.pi["q"] = "vq"
+    P = w.replace_cells({"r1": {"a": ("n1", "q"), "b": ("q", "n2")},
+                         "c": {"d": ("n1", "n3")}})
+    assert validate_painting(P) == []
+    assert P.rotations["n1"] == ("r6", "d", "a")
+    assert P.rotations["n2"] == ("b", "r2")
+    assert P.rotations["n3"] == ("r2", "d", "r3")
+    # the new node gets its cells in the order given
+    assert P.rotations["q"] == ("a", "b")
+    # x met c only, so it stops being a node
+    assert "x" not in P.nodes and "x" not in w.pi and "x" not in w.rotations
+    assert set(P.cells) == {"a", "b", "d", "r2", "r3", "r4", "r5", "r6"}
+    assert "r1" not in w.sigma and "c" not in w.sigma
+    assert w.painting().rotations == P.rotations
+
+
+def test_replace_cells_searches_the_insertion_orders():
+    # two parallel chords: sorted order at both ends is not planar
+    G, R = ring_rendition([("c", ("n1", "n4"), Graph((), [("v1", "v4")]))])
+    w = rendition._Work(R)
+    first = dict(w.rotations, n1=["r6", "e", "f", "r1"],
+                 n4=["r3", "e", "f", "r4"])
+    cells = {k: v for k, v in w.cells.items() if k != "c"}
+    assert validate_painting(Painting(
+        w.nodes, dict(cells, e=("n1", "n4"), f=("n1", "n4")), first,
+        w.outer))
+    P = w.replace_cells({"c": {"e": ("n1", "n4"), "f": ("n1", "n4")}})
+    assert validate_painting(P) == []
+    assert P.rotations["n1"] == ("r6", "e", "f", "r1")
+    assert P.rotations["n4"] == ("r3", "f", "e", "r4")
+    assert "c" not in w.sigma
+
+
+def test_replace_cells_without_a_planar_order_raises():
+    # two 3-node cells on the same three ring nodes, with the ring on the
+    # outer face, hold a K_{3,3}
+    w = rendition._Work(ring_with_cell(("n1", "n5", "n3")))
+    bnd = ("n1", "n5", "n3")
+    with pytest.raises(InternalError) as exc:
+        w.replace_cells({"c": {"k1": bnd, "k2": bnd}})
+    assert exc.value.witness == ["c"]
