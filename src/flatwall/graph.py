@@ -292,28 +292,6 @@ def is_separation(G: Graph, L: Iterable, R: Iterable) -> bool:
     return not any(u in large for v in small for u in adj[v])
 
 
-def contract_matching(G: Graph, M: Iterable) -> Tuple[Graph, Dict]:
-    """Contract a matching; returns the new graph and the old->new vertex map."""
-    M = [norm_edge(*e) for e in M]
-    touched = set()
-    for u, v in M:
-        if not G.has_edge(u, v):
-            raise InputError("matching edge not in graph", witness=[u, v])
-        if u in touched or v in touched:
-            raise InputError("edge set is not a matching", witness=[u, v])
-        touched.add(u)
-        touched.add(v)
-    merge = {v: v for v in G.vertex_set}
-    for u, v in M:
-        merge[v] = u  # keep the smaller id
-    edges = set()
-    for u, v in G.edge_set:
-        a, b = merge[u], merge[v]
-        if a != b:
-            edges.add(norm_edge(a, b))
-    return Graph(set(merge.values()), edges), merge
-
-
 # -- vertex-disjoint paths (Menger via unit vertex capacities) -------------
 
 _BIG = 1 << 30

@@ -16,12 +16,16 @@ from typing import Dict, FrozenSet, Optional, Sequence, Union
 from .errors import InputError, InternalError
 from .flatness import FlatnessPair, influence
 from .tilt import TiltResult, compute_tilt
-from .wall import Wall, enumerate_subwalls
+from .wall import Wall, check_height, enumerate_subwalls
 
 
 @dataclass(frozen=True)
 class FlapColoring:
-    """A total map from cell ids to colors 1..w."""
+    """A total map from cell ids to colors 1..w.
+
+    `color` raises `InputError` for a cell the map lacks. A tilt's chain
+    cells are new cells, so a coloring of F has no color for them.
+    """
 
     colors: Dict[object, int]
     w: int
@@ -34,11 +38,9 @@ class FlapColoring:
         if bad:
             raise InputError("color outside 1..w", witness=sorted(bad, key=str))
 
-    def color(self, cid, fallback=None) -> int:
+    def color(self, cid) -> int:
         if cid in self.colors:
             return self.colors[cid]
-        if fallback is not None and fallback(cid) in self.colors:
-            return self.colors[fallback(cid)]
         raise InputError("coloring misses a flap", witness=cid)
 
 
@@ -52,9 +54,7 @@ def example_coloring(F: FlatnessPair, k: int = 2) -> FlapColoring:
 
 
 def h(r: int, w: int) -> int:
-    if r < 3 or r % 2 == 0:
-        raise InputError("height parameter must be odd and at least 3",
-                         witness=r)
+    check_height(r)
     if w < 1:
         raise InputError("color count must be positive", witness=w)
     val = r
@@ -66,20 +66,18 @@ def h(r: int, w: int) -> int:
 Cycle = Union[Wall, Sequence]
 
 
-def palette(F: FlatnessPair, zeta: FlapColoring, C: Cycle,
-            fallback=None) -> FrozenSet:
-    return frozenset(zeta.color(cid, fallback) for cid in influence(F, C))
+def palette(F: FlatnessPair, zeta: FlapColoring, C: Cycle) -> FrozenSet:
+    """The colors of C's influence flaps; `InputError` if zeta misses one."""
+    return frozenset(zeta.color(cid) for cid in influence(F, C))
 
 
-def is_homogeneous(F: FlatnessPair, zeta: FlapColoring,
-                   fallback=None) -> bool:
-    return _one_palette(F, zeta, F.wall.internal_bricks(), fallback)
+def is_homogeneous(F: FlatnessPair, zeta: FlapColoring) -> bool:
+    return _one_palette(F, zeta, F.wall.internal_bricks())
 
 
-def _one_palette(F: FlatnessPair, zeta: FlapColoring, bricks,
-                 fallback=None) -> bool:
+def _one_palette(F: FlatnessPair, zeta: FlapColoring, bricks) -> bool:
     """All bricks show one palette; stops at the first brick that differs."""
-    pals = (palette(F, zeta, b, fallback) for b in bricks)
+    pals = (palette(F, zeta, b) for b in bricks)
     first = next(pals, None)
     return all(p == first for p in pals)
 
@@ -97,12 +95,15 @@ def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
       properties (ii) and (iii)) and rewires only the perimeter, so B keeps
       its vertex sequence;
     - so B's influence, and with it B's palette, is the same in F and in
-      the tilt, and the chain-cell fallback is never consulted for B.
+      the tilt, and zeta colors every cell of it.
     Only the first subwall that passes is tilted, with all of the tilt's
     self-checks; an `InternalError` is raised if its tilt is not
-    homogeneous after all. New chain cells created by a tilt inherit the
-    color of their source cell, which only matters for palettes of cycles
-    larger than a brick.
+    homogeneous after all, or shows a brick flap that zeta does not color.
+    The tilt's chain cells get no color: a palette of a cycle larger than a
+    brick may meet them, and `palette` then raises `InputError`. This is
+    deliberate: a caller who wants such palettes colors the chain cells
+    itself, say from the tilt's `provenance`, which maps each chain cell to
+    its (source cell, piece index).
     """
     need = h(r, zeta.w)
     if F.height < need and not allow_short:
@@ -113,12 +114,16 @@ def find_homogeneous(G, F: FlatnessPair, zeta: FlapColoring, r: int,
         if not _one_palette(F, zeta, S.internal_bricks()):
             continue
         res = compute_tilt(G, F, S)
-        src = res.provenance
-        if not is_homogeneous(res.pair, zeta,
-                              fallback=lambda cid: src.get(cid, (cid,))[0]):
+        where = {"rows": list(rows), "cols": list(cols)}
+        try:
+            same = is_homogeneous(res.pair, zeta)
+        except InputError as exc:
+            raise InternalError("tilt of a homogeneous subwall has a brick "
+                                "flap the coloring misses",
+                                witness=where) from exc
+        if not same:
             raise InternalError("tilt of a homogeneous subwall is not "
-                                "homogeneous", witness={"rows": list(rows),
-                                                        "cols": list(cols)})
+                                "homogeneous", witness=where)
         return res
     if allow_short:
         return None

@@ -51,15 +51,6 @@ def z_bound(r: int, t: int, p: Optional[Params] = None) -> int:
     return 2 * (root + 1) * f4 * (f1 + 1) * (r + 2)
 
 
-def derived_width_factor(t: int, p: Optional[Params] = None) -> int:
-    """Smallest c with 5 z(r,t) + 4 <= c r for every r >= 3.
-
-    z is linear in (r+2), so the ratio is maximized at r = 3.
-    """
-    p = p or Params()
-    return -((-(5 * z_bound(3, t, p) + 4)) // 3)
-
-
 # -- minor models ----------------------------------------------------------
 
 
@@ -285,46 +276,6 @@ def find_wall(G: Graph, r: int, t: int,
         notes.append("treewidth check skipped: over the desk limit")
     raise CapacityError("no outcome certifiable within desk limits",
                         witness=notes)
-
-
-# -- incremental prefixes --------------------------------------------------
-
-
-@dataclass
-class PrefixResult:
-    found: bool
-    c: int
-    j: Optional[int] = None
-    decomposition: Optional[TreeDecomposition] = None
-
-
-def find_wall_with_decomposition(G: Graph, r: int, t: int,
-                                 p: Optional[Params] = None,
-                                 c: Optional[int] = None,
-                                 order: Optional[Sequence] = None
-                                 ) -> PrefixResult:
-    """Smallest prefix of the vertex order whose treewidth exceeds c.
-
-    Returns that index j together with a decomposition of the previous
-    prefix, or reports that no prefix gets beyond c.
-    """
-    p = p or Params()
-    if c is None:
-        c = z_bound(r, t, p)
-    verts = list(order) if order is not None else list(G.vertices)
-    if set(verts) != set(G.vertex_set) or len(verts) != G.n:
-        raise InputError("order must enumerate the vertex set exactly")
-    prev_td = TreeDecomposition({}, ())
-    for j in range(1, G.n + 1):
-        Gj = G.subgraph(verts[:j])
-        if Gj.n > p.limits.treewidth:
-            raise CapacityError("prefix treewidth over the desk limit",
-                                witness=j)
-        tw, td = exact_treewidth(Gj, limit=p.limits.treewidth)
-        if tw > c:
-            return PrefixResult(True, c, j=j, decomposition=prev_td)
-        prev_td = td
-    return PrefixResult(False, c, decomposition=prev_td)
 
 
 # -- treewidth deciders ----------------------------------------------------

@@ -135,9 +135,6 @@ def validate_rendition(G: Graph, R: Rendition) -> List[str]:
 class TightnessReport:
     violations: Dict[str, List] = field(default_factory=dict)
 
-    def status(self, cond: str) -> List:
-        return self.violations.get(cond, [])
-
     @property
     def is_tight(self) -> bool:
         return not any(self.violations.values())

@@ -425,12 +425,6 @@ def enumerate_subwalls(W: Wall, rp: int):
             yield rows, cols, subwall(W, rows, cols)
 
 
-def count_subwall_selections(r: int, rp: int) -> int:
-    """Number of (rows, cols) selections, including parity-invalid ones."""
-    from math import comb
-    return comb(r, rp) ** 2
-
-
 # -- interiors and tilts ---------------------------------------------------
 
 

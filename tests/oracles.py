@@ -134,9 +134,7 @@ def find_homogeneous_by_tilting(G: Graph, F, zeta, r: int):
 
     for _rows, _cols, S in enumerate_subwalls(F.wall, r):
         res = compute_tilt(G, F, S)
-        src = res.provenance
-        if is_homogeneous(res.pair, zeta,
-                          fallback=lambda cid: src.get(cid, (cid,))[0]):
+        if is_homogeneous(res.pair, zeta):
             return res
     return None
 

@@ -13,9 +13,9 @@ from flatwall.graph import Graph, vkey
 from flatwall.painting import Painting, trace_normal_cycle
 from flatwall.rendition import Rendition, check_tightness
 from flatwall.tilt import compute_tilt
-from flatwall.wall import (Wall, admits_pegs_corners, enumerate_subwalls,
-                           interior, is_tilt, temp_hpath, temp_perimeter,
-                           temp_vpath)
+from flatwall.wall import (PegsCorners, Wall, admits_pegs_corners,
+                           enumerate_subwalls, interior, is_tilt, temp_hpath,
+                           temp_perimeter, temp_vpath)
 
 from oracles import trace_by_union_find
 
@@ -36,6 +36,23 @@ def test_base_fixture_valid_and_regular():
 def test_base_fixture_strict_pegs():
     G, F = generate_fixture(0, 3)
     assert admits_pegs_corners(F.wall, F.pegs_corners)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="validate_flatness does not check that some "
+                          "elementary presentation admits the corners")
+def test_corners_no_presentation_admits_are_a_violation():
+    # moving a corner onto a non-corner peg keeps P and |C|, and the chain
+    # C <= P <= X cap Y <= V(D(W)), but no elementary presentation of the
+    # wall has these corners
+    G, F = generate_fixture(0, 5)
+    pc = F.pegs_corners
+    corner = min(pc.corners, key=str)
+    peg = min(pc.pegs - pc.corners, key=str)
+    moved = PegsCorners(pc.pegs, (pc.corners - {corner}) | {peg})
+    assert not admits_pegs_corners(F.wall, moved)
+    bad = FlatnessPair(F.wall, F.X, F.Y, moved, F.rendition)
+    assert validate_flatness(G, bad) != []
 
 
 def test_fixture_deterministic():

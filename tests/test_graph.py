@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall.errors import CapacityError, InputError, NoPathError
-from flatwall.graph import (Graph, TreeDecomposition, contract_matching,
-                            exact_treewidth, is_separation,
+from flatwall.graph import (Graph, TreeDecomposition, exact_treewidth,
+                            is_separation,
                             max_vertex_disjoint_paths, min_fill_decomposition,
                             min_vertex_cut, minor_model, norm_edge, vkey)
 
@@ -133,29 +133,6 @@ def test_is_separation_sees_a_crossing_edge_from_either_side():
         want = not any({u, v} & (L - R) and {u, v} & (R - L)
                        for u, v in G.edges)
         assert is_separation(G, L, R) == want
-
-
-def test_contract_matching_examples():
-    P = Graph((), [("a", "b"), ("b", "c")])
-    H, merge = contract_matching(P, [("a", "b")])
-    assert H.n == 2 and H.m == 1
-    assert merge["b"] == "a"
-    C4 = Graph((), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    H, _ = contract_matching(C4, [(0, 1), (2, 3)])
-    assert H.n == 2 and H.m == 1
-    H, _ = contract_matching(C4, [])
-    assert H == C4
-    with pytest.raises(InputError):
-        contract_matching(C4, [(0, 1), (1, 2)])
-
-
-def test_merge_map_partitions():
-    C4 = Graph((), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    H, merge = contract_matching(C4, [(0, 1)])
-    groups = {}
-    for old, new in merge.items():
-        groups.setdefault(new, set()).add(old)
-    assert sorted(map(sorted, groups.values())) == [[0, 1], [2], [3]]
 
 
 def test_shortest_path_examples():

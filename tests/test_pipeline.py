@@ -10,9 +10,8 @@ from flatwall.flatness import generate_fixture, is_regular
 from flatwall.graph import Graph, TreeDecomposition
 from flatwall.pipeline import (DefaultTreewidthDecider, OracleAnswer,
                                ScriptedOracle, ScriptedTreewidthDecider,
-                               clique, derived_width_factor,
-                               _check_oracle_answer, find_low_tw_compass,
-                               find_wall, find_wall_with_decomposition,
+                               clique, _check_oracle_answer,
+                               find_low_tw_compass, find_wall,
                                flat_wall_driver, validate_driver_outcome,
                                validate_minor_model, z_bound)
 from flatwall.wall import elementary_wall, subdivide_wall, subwall
@@ -40,14 +39,6 @@ def test_z_bound_grows_linearly_in_r():
     b = z_bound(4, 2, UP)
     c = z_bound(5, 2, UP)
     assert b - a == c - b > 0
-
-
-def test_derived_width_factor_dominates_all_heights():
-    for t in (1, 2, 3):
-        c = derived_width_factor(t)
-        for r in range(3, 31):
-            assert 5 * z_bound(r, t) + 4 <= c * r
-        assert 5 * z_bound(3, t) + 4 > (c - 1) * 3
 
 
 def test_z_bound_rejects_bad_arguments():
@@ -140,28 +131,6 @@ def test_find_wall_small_clique_shortcuts():
     res = find_wall(G, 3, 2, UP)
     assert res.kind == "minor"
     assert validate_minor_model(G, res.model, 2) == []
-
-
-# -- incremental prefixes --------------------------------------------------
-
-
-def test_prefix_search_on_clique():
-    res = find_wall_with_decomposition(complete_graph(6), 3, 2, UP, c=2)
-    assert res.found and res.j == 4
-    pref = complete_graph(6).subgraph(range(3))
-    assert res.decomposition.validate(pref) == []
-    assert res.decomposition.width <= 2
-
-
-def test_prefix_search_no_prefix():
-    res = find_wall_with_decomposition(complete_graph(6), 3, 2, UP, c=10)
-    assert not res.found and res.j is None
-
-
-def test_prefix_search_rejects_bad_order():
-    with pytest.raises(InputError):
-        find_wall_with_decomposition(complete_graph(4), 3, 2, UP, c=2,
-                                     order=[0, 1, 2])
 
 
 # -- treewidth deciders ----------------------------------------------------

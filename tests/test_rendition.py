@@ -94,7 +94,7 @@ def test_condition_i_detection_and_repair():
     flap = Graph((), [("v1", "v4"), ("v1", "h"), ("h", "v4")])
     G, R = ring_rendition([("c1", ("n1", "n4"), flap)])
     rep = check_tightness(G, R)
-    assert ("v1", "v4") in rep.status("i")
+    assert ("v1", "v4") in rep.violations["i"]
     T = tighten(G, R)
     assert_tight_and_faithful(G, R, T)
     assert any(g.n == 2 and g.edge_set == {("v1", "v4")}
@@ -105,7 +105,7 @@ def test_condition_ii_detection_and_repair():
     flap = Graph((), [("v1", "h1"), ("v4", "h2")])
     G, R = ring_rendition([("c1", ("n1", "n4"), flap)])
     rep = check_tightness(G, R)
-    assert any(w[0] == "c1" for w in rep.status("ii"))
+    assert any(w[0] == "c1" for w in rep.violations["ii"])
     T = tighten(G, R)
     assert_tight_and_faithful(G, R, T)
 
@@ -114,7 +114,7 @@ def test_condition_iii_detection_and_repair():
     flap = Graph((), [("v1", "m"), ("m", "v4"), ("v1", "p"), ("p", "q")])
     G, R = ring_rendition([("c1", ("n1", "n4"), flap)])
     rep = check_tightness(G, R)
-    assert any(w[0] == "c1" for w in rep.status("iii"))
+    assert any(w[0] == "c1" for w in rep.violations["iii"])
     T = tighten(G, R)
     assert_tight_and_faithful(G, R, T)
     # components of each flap now see the whole cell boundary
@@ -132,7 +132,7 @@ def test_condition_iv_detection_and_repair():
     G, R = ring_rendition([("c1", ("n1", "n4"), flap1),
                            ("c2", ("n1", "n4"), flap2)])
     rep = check_tightness(G, R)
-    assert rep.status("iv")
+    assert rep.violations["iv"]
     T = tighten(G, R)
     assert_tight_and_faithful(G, R, T)
 
@@ -162,7 +162,7 @@ def test_condition_v_detection_and_repair():
     G, R = ground_separator_rendition()
     assert validate_rendition(G, R) == []
     rep = check_tightness(G, R)
-    assert "c4" in rep.status("v")
+    assert "c4" in rep.violations["v"]
     T = tighten(G, R)
     assert_tight_and_faithful(G, R, T)
 
@@ -305,13 +305,13 @@ def test_shared_flap_is_checked_under_each_boundary():
             assert (check_tightness(G, shared[i]).violations
                     == check_tightness(G, cold).violations)
         assert check_tightness(G, shared[0]).is_tight
-        assert (check_tightness(G, shared[1]).status("iii")
+        assert (check_tightness(G, shared[1]).violations["iii"]
                 == [("c1", ("b",)), ("c1", ("c",))])
 
 
 def test_single_edge_flap_missing_a_boundary_vertex_violates_ii():
     G, R = ring_rendition([("c1", ("n1", "n4"), Graph((), [("v1", "h")]))])
-    assert check_tightness(G, R).status("ii") == [("c1", "v1", "v4")]
+    assert check_tightness(G, R).violations["ii"] == [("c1", "v1", "v4")]
 
 
 def test_shared_flaps_are_checked_once(monkeypatch):
@@ -345,7 +345,7 @@ def test_shared_boundaries_are_merged():
     for seed in range(60):
         G, R = ring_rendition(shared_boundary_chords(random.Random(seed)))
         assert validate_rendition(G, R) == []
-        assert check_tightness(G, R).status("iv")
+        assert check_tightness(G, R).violations["iv"]
         T = tighten(G, R)
         assert_tight_and_faithful(G, R, T)
         assert tighten(G, T).key() == T.key()
@@ -358,7 +358,7 @@ def test_ground_separators_are_repaired():
     for seed in range(60):
         G, R = separated_fan(random.Random(seed))
         assert validate_rendition(G, R) == []
-        assert check_tightness(G, R).status("v")
+        assert check_tightness(G, R).violations["v"]
         notes = []
         T = tighten(G, R, notes)
         assert_tight_and_faithful(G, R, T)
@@ -377,7 +377,7 @@ def test_condition_v_notes_name_the_cells_left_unlinked(repair, monkeypatch):
         G, R = separated_fan(random.Random(seed))
         notes = []
         T = tighten(G, R, notes)
-        unlinked = check_tightness(G, T).status("v")
+        unlinked = check_tightness(G, T).violations["v"]
         assert [n.split()[5].rstrip(":") for n in notes] == unlinked
         assert bool(unlinked) != repair
 

@@ -1,0 +1,93 @@
+"""No library surface that only tests reach.
+
+Every top-level function and class of `src/flatwall` must have a reader in
+`src/` or `perfbench/`: a name or attribute that loads it outside its own
+definition, or a dotted name quoted in `perfbench/tracing.py`'s TARGETS.
+Imports alone do not count. A dead definition fails here by name; delete
+it, give it a caller, or add it to KEPT with the paper notion or file
+format it implements.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flatwall"
+
+# read only by tests, kept because each is a notion of the paper or a format
+KEPT = {
+    "admits_pegs_corners": "the choice of pegs and corners",
+    "choices_of_pegs_corners": "the choice of pegs and corners",
+    "is_well_aligned": "well-alignment of a regular flatness pair",
+    "stretching": "the stretching of a flap path",
+    "w_bullet": "the graph W-bullet of a leveling",
+    "write_bundle": "the bundle format, the partner of read_bundle",
+}
+
+
+def _is_click_command(node) -> bool:
+    """A function that a `@<group>.command(...)` or `@click.command`
+    decorator registers, so the CLI reaches it without a named reader."""
+    for dec in node.decorator_list:
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(f, ast.Attribute) and f.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _loads(node) -> set:
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+    return out
+
+
+def _traced_names() -> set:
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets
+                     if isinstance(t, ast.Name)] == ["TARGETS"]):
+            return {part for n in ast.walk(stmt.value)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    for part in n.value.split(".")}
+    raise AssertionError("perfbench/tracing.py has no TARGETS")
+
+
+def unread_definitions(kept=KEPT) -> list:
+    defined = []            # (module, name, node)
+    reads = {}              # (module, top-level name or None) -> loads
+    bench = ROOT / "perfbench"
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        mod = path.relative_to(ROOT).as_posix()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if path.parent == SRC:
+                    defined.append((mod, stmt.name, stmt))
+                reads[mod, stmt.name] = _loads(stmt)
+            else:
+                reads.setdefault((mod, None), set()).update(_loads(stmt))
+    traced = _traced_names()
+    dead = []
+    for mod, name, node in defined:
+        if name in kept or name in traced or _is_click_command(node):
+            continue
+        if not any(name in loads for key, loads in reads.items()
+                   if key != (mod, name)):
+            dead.append(f"{mod}:{node.lineno} {name}")
+    return dead
+
+
+def test_every_definition_has_a_reader_outside_tests():
+    dead = unread_definitions()
+    assert not dead, "no reader outside tests:\n" + "\n".join(dead)
+
+
+def test_kept_names_are_defined_and_unread():
+    # a kept name that is gone, or that gained a reader, leaves the list
+    unread = {entry.split()[-1] for entry in unread_definitions(kept={})}
+    assert sorted(set(KEPT) - unread) == []
