@@ -6,7 +6,7 @@ Limits can be overridden through FLATWALL_LIMIT_<NAME> environment variables.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import UsageError
 
@@ -15,16 +15,15 @@ from .errors import UsageError
 class Limits:
     minor_model: int = 24
     treewidth: int = 20
-    find_wall: int = 64           # |V(G)| for the wall-finding base case
 
     def override_from_env(self) -> "Limits":
         out = self
-        for name in ("minor_model", "treewidth", "find_wall"):
-            var = "FLATWALL_LIMIT_" + name.upper()
+        for f in fields(self):
+            var = "FLATWALL_LIMIT_" + f.name.upper()
             raw = os.environ.get(var)
             if raw is not None:
                 try:
-                    out = replace(out, **{name: int(raw)})
+                    out = replace(out, **{f.name: int(raw)})
                 except ValueError:
                     raise UsageError("limit must be an integer",
                                      witness={var: raw})

@@ -25,8 +25,7 @@ from .flatness import (FlatnessPair, influence_union, is_regular,
 from .graph import (Graph, TreeDecomposition, exact_treewidth,
                     min_fill_decomposition, minor_model, norm_edge, vkey)
 from .tilt import compute_tilt, regularize
-from .wall import (Wall, check_height, is_tilt, recognize_wall, subwall,
-                   temp_edges, temp_vertices)
+from .wall import Wall, check_height, is_tilt, recognize_wall, subwall
 
 
 # -- parameter arithmetic --------------------------------------------------
@@ -137,125 +136,29 @@ def _prune_leaves(G: Graph) -> Graph:
         H = H.remove_vertices(drop)
 
 
-def _embed_wall_small(G: Graph, r: int, budget: int = 60000) -> Optional[Wall]:
-    """Backtracking subdivision embedding for graphs beyond clean walls."""
-    coords = temp_vertices(r)
-    if len(coords) > G.n:
-        return None
-    adj: Dict = {c: [] for c in coords}
-    for a, b in temp_edges(r):
-        adj[a].append(b)
-        adj[b].append(a)
-    order = [coords[0]]
-    seen = {coords[0]}
-    frontier = [coords[0]]
-    while frontier:
-        c = frontier.pop(0)
-        for d in adj[c]:
-            if d not in seen:
-                seen.add(d)
-                order.append(d)
-                frontier.append(d)
-    deg = {c: len(adj[c]) for c in coords}
-
-    mapping: Dict = {}
-    paths: Dict = {}
-    used = set()
-    left = [budget]
-
-    def path_gen(a, b, banned, cap):
-        stack = [(a, (a,))]
-        while stack:
-            v, p = stack.pop()
-            left[0] -= 1
-            if left[0] <= 0:
-                raise CapacityError("wall embedding budget exhausted")
-            if v == b:
-                yield p
-                continue
-            if len(p) > cap:
-                continue
-            for u in reversed(G.neighbors(v)):
-                if u in p or (u in banned and u != b):
-                    continue
-                stack.append((u, p + (u,)))
-
-    def realize(edges, banned):
-        if not edges:
-            yield {}
-            return
-        (c, d), rest = edges[0], edges[1:]
-        for p in path_gen(mapping[c], mapping[d], banned, G.n):
-            inner = set(p[1:-1])
-            key = tuple(sorted((c, d)))
-            for tail in realize(rest, banned | inner):
-                got = {key: p}
-                got.update(tail)
-                yield got
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        c = order[i]
-        back = [(c, d) for d in adj[c] if d in mapping]
-        for v in G.vertices:
-            if v in used or G.degree(v) < deg[c]:
-                continue
-            mapping[c] = v
-            used.add(v)
-            banned = set(used) | {x for p in paths.values()
-                                  for x in p[1:-1]}
-            try:
-                for got in realize(back, frozenset(banned)):
-                    paths.update({k: tuple(p) for k, p in got.items()})
-                    interiors = {x for p in got.values() for x in p[1:-1]}
-                    used.update(interiors)
-                    if place(i + 1):
-                        return True
-                    used.difference_update(interiors)
-                    for k in got:
-                        del paths[k]
-            except CapacityError:
-                del mapping[c]
-                used.discard(v)
-                raise
-            del mapping[c]
-            used.discard(v)
-        return False
-
-    try:
-        if not place(0):
-            return None
-    except CapacityError:
-        return None
-    W = Wall(r, mapping, paths)
-    if W.validate():
-        return None
-    return W
-
-
 def find_wall(G: Graph, r: int, t: int,
               p: Optional[Params] = None) -> FindWallResult:
-    """Minor report, low-treewidth report, or an r-wall of G."""
+    """Minor report, low-treewidth report, or an r-wall of G.
+
+    A wall is found only when G's leaf-pruned core is a subdivided
+    elementary r-wall (`recognize_wall`); an apex or a flap on the wall
+    defeats it, and the search falls through to the minor and treewidth
+    tiers. A recognition search that runs past its budget raises
+    `CapacityError` (exit 3) rather than reporting that no wall exists.
+    """
     p = p or Params()
     check_height(r)
     if t < 1:
         raise InputError("t must be positive", witness=t)
-    notes: List[str] = []
 
     W = recognize_wall(_prune_leaves(G), r)
-    if W is None and G.n <= p.limits.find_wall:
-        W = _embed_wall_small(G, r)
-        if W is None:
-            notes.append("wall embedding search negative or exhausted")
-    elif W is None:
-        notes.append("wall search limited to pruned subdivisions at this size")
     if W is not None:
         for u, v in W.graph.edges:
             if not G.has_edge(u, v):
                 raise InternalError("found wall leaves the graph",
                                     witness=[u, v])
-        return FindWallResult("wall", t, wall=W, notes=notes)
+        return FindWallResult("wall", t, wall=W)
+    notes = ["wall search limited to pruned subdivisions at this size"]
 
     model = _small_clique_minor(G, t, p)
     if model is not None:
@@ -475,7 +378,9 @@ def find_low_tw_compass(G: Graph, r: int, t: int, L: Iterable,
     if not L <= G.vertex_set:
         raise InputError("avoided set leaves the graph")
     if G.n <= p.limits.treewidth:
-        tw, _ = exact_treewidth(G, limit=p.limits.treewidth)
+        # treewidth is at most n - 1; the exact DP runs only if that exceeds z
+        tw = (G.n - 1 if G.n - 1 <= z
+              else exact_treewidth(G, limit=p.limits.treewidth)[0])
         if tw <= z:
             raise InputError("treewidth within the compass budget already",
                              witness=[tw, z])

@@ -15,7 +15,6 @@ exceptions, each kept as the reference for a faster library method:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 import networkx as nx
 

@@ -8,19 +8,15 @@ import random
 import time
 from math import comb
 
-import pytest
-
 from flatwall.config import unit_params
-from flatwall.flatness import (generate_fixture, influence, is_regular,
-                               validate_flatness)
+from flatwall.flatness import generate_fixture, is_regular, validate_flatness
 from flatwall.graph import Graph, exact_treewidth, minor_model
 from flatwall.homogeneity import (example_coloring, find_homogeneous, h,
                                   is_homogeneous, palette)
 from flatwall.leveling import is_well_aligned, representation, w_bullet
 from flatwall.pipeline import (OracleAnswer, ScriptedOracle,
                                ScriptedTreewidthDecider, flat_wall_driver,
-                               validate_driver_outcome,
-                               validate_minor_model, z_bound)
+                               validate_driver_outcome, z_bound)
 from flatwall.rendition import check_tightness, tighten, validate_rendition
 from flatwall.serialize import canonical_bytes, pair_from_json, pair_to_json
 from flatwall.tilt import compute_tilt, regularize, validate_tilt

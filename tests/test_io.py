@@ -22,8 +22,7 @@ from flatwall.leveling import Representation
 from flatwall.pipeline import (ScriptedOracle, flat_wall_driver,
                                validate_driver_outcome)
 from flatwall.serialize import (CertificateBundle, ParseError, SchemaError,
-                                bundle_to_json, canonical_bytes, dec,
-                                decomposition_from_json,
+                                canonical_bytes, dec, decomposition_from_json,
                                 decomposition_to_json, graph_from_json,
                                 graph_to_json, model_from_json, model_to_json,
                                 pair_from_json, pair_to_json, parse_bundle,

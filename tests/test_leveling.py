@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from flatwall import leveling
 from flatwall.errors import CapacityError, InputError, InternalError
-from flatwall.flatness import (PROFILES, flaps, generate_fixture, is_regular,
+from flatwall.flatness import (PROFILES, generate_fixture, is_regular,
                                short_edges)
-from flatwall.graph import Graph, norm_edge
+from flatwall.graph import Graph
 from flatwall.leveling import (is_well_aligned, leveling_graph, representation,
                                w_bullet)
 from flatwall.serialize import canonical_bytes, representation_to_json

@@ -4,16 +4,18 @@ import sys
 
 import pytest
 
-from flatwall.config import Params, unit_params
+import flatwall.pipeline
+import flatwall.wall
+from flatwall.config import unit_params
 from flatwall.errors import CapacityError, InputError, InternalError
 from flatwall.flatness import generate_fixture, is_regular
 from flatwall.graph import Graph, TreeDecomposition
 from flatwall.pipeline import (DefaultTreewidthDecider, OracleAnswer,
                                ScriptedOracle, ScriptedTreewidthDecider,
-                               clique, _check_oracle_answer,
-                               find_low_tw_compass, find_wall,
-                               flat_wall_driver, validate_driver_outcome,
-                               validate_minor_model, z_bound)
+                               _check_oracle_answer, find_low_tw_compass,
+                               find_wall, flat_wall_driver,
+                               validate_driver_outcome, validate_minor_model,
+                               z_bound)
 from flatwall.wall import elementary_wall, subdivide_wall, subwall
 
 UP = unit_params()
@@ -83,15 +85,32 @@ def test_find_wall_tree_reports_treewidth():
     assert res.decomposition.validate(path_graph(6)) == []
 
 
-def test_find_wall_embeds_through_a_chord():
+def test_find_wall_with_a_chord_reports_a_minor():
+    # a chord makes the pruned core more than a subdivided wall, so no wall
+    # is recognised and the minor tier answers
     W = elementary_wall(3)
     deg2 = [v for v in W.graph.vertices if W.graph.degree(v) == 2]
     G = W.graph.add_edges([(deg2[0], deg2[-1])])
     res = find_wall(G, 3, 4, UP)
-    assert res.kind == "wall"
-    assert res.wall.validate() == []
-    for u, v in res.wall.graph.edges:
-        assert G.has_edge(u, v)
+    assert res.kind == "minor"
+    assert validate_minor_model(G, res.model, 4) == []
+    assert ("wall search limited to pruned subdivisions at this size"
+            in res.notes)
+
+
+def test_find_wall_exhausted_recognition_is_not_no_wall(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise CapacityError("wall recognition budget exhausted")
+        yield
+
+    def no_minor_tier(*args, **kwargs):
+        raise AssertionError("exhaustion fell through to the minor tier")
+
+    monkeypatch.setattr(flatwall.wall, "_skeleton_embeddings", exhausted)
+    monkeypatch.setattr(flatwall.pipeline, "_small_clique_minor",
+                        no_minor_tier)
+    with pytest.raises(CapacityError):
+        find_wall(elementary_wall(3).graph, 3, 4, UP)
 
 
 def test_find_wall_capacity_error_on_large_cycle():
@@ -260,6 +279,21 @@ def test_compass_search_preconditions():
         find_low_tw_compass(G, 3, 2, {0, 1, 2}, ScriptedOracle([]), UP)
     with pytest.raises(InputError):
         find_low_tw_compass(G, 3, 2, {"missing"}, ScriptedOracle([]), UP)
+
+
+def test_compass_precondition_needs_no_exact_treewidth(monkeypatch):
+    # treewidth <= n - 1 = 17 < z, which settles it without the exact DP
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact_treewidth ran")
+
+    monkeypatch.setattr(flatwall.pipeline, "exact_treewidth", forbidden)
+    G = Graph((), [((x, y), (x + dx, y + dy)) for x in range(3)
+                   for y in range(6) for dx, dy in ((1, 0), (0, 1))
+                   if x + dx < 3 and y + dy < 6])
+    with pytest.raises(InputError) as info:
+        flat_wall_driver(G, 3, 3, ScriptedOracle([]), UP,
+                         ScriptedTreewidthDecider(["high"], UP))
+    assert info.value.witness == [17, z_bound(3, 3, UP)]
 
 
 # -- the scripted end-to-end run -------------------------------------------

@@ -6,9 +6,16 @@ definition, or a dotted name quoted in `perfbench/tracing.py`'s TARGETS.
 Imports alone do not count. A dead definition fails here by name; delete
 it, give it a caller, or add it to KEPT with the paper notion or file
 format it implements.
+
+The desk limits the README documents are exactly the fields of `Limits`,
+which `Limits.override_from_env` reads from the environment.
 """
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
+
+from flatwall.config import Limits
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flatwall"
@@ -91,3 +98,9 @@ def test_kept_names_are_defined_and_unread():
     # a kept name that is gone, or that gained a reader, leaves the list
     unread = {entry.split()[-1] for entry in unread_definitions(kept={})}
     assert sorted(set(KEPT) - unread) == []
+
+
+def test_readme_names_exactly_the_limit_variables():
+    named = set(re.findall(r"FLATWALL_LIMIT_([A-Z][A-Z_]*)",
+                           (ROOT / "README.md").read_text()))
+    assert sorted(named) == sorted(f.name.upper() for f in fields(Limits))

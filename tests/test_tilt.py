@@ -8,7 +8,7 @@ from flatwall.errors import InputError
 from flatwall.flatness import (classify_cells, generate_fixture, influence_union,
                                is_regular, untidy_cells, validate_flatness)
 from flatwall.graph import Graph
-from flatwall.tilt import (Stretching, _splice_wall, compute_tilt, regularize,
+from flatwall.tilt import (_splice_wall, compute_tilt, regularize,
                            repair_untidy, stretching, tilt_main)
 from flatwall.wall import enumerate_subwalls, is_tilt
 

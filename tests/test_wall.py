@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall.errors import InputError
-from flatwall.graph import Graph, vkey
+from flatwall.graph import vkey
 from flatwall.wall import (PegsCorners, Wall, admits_pegs_corners,
                            choices_of_pegs_corners, elementary_wall,
                            enumerate_subwalls, interior, is_tilt,
                            row_selection_valid, subdivide_wall, subwall,
-                           temp_bricks, temp_corners, temp_degree,
-                           temp_edges, temp_hpath, temp_pegs,
-                           temp_perimeter, temp_vertices, temp_vpath)
+                           temp_corners, temp_degree, temp_edges,
+                           temp_hpath, temp_pegs, temp_perimeter,
+                           temp_vertices, temp_vpath)
 
 import oracles
 
