@@ -213,22 +213,28 @@ class Graph:
         for v in (x, y):
             if v not in self._vertices:
                 raise InputError("unknown vertex", witness=repr(v))
-        if x == y:
-            return (x,)
-        parent = {x: None}
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    if u == y:
-                        path = [y]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        return tuple(reversed(path))
-                    queue.append(u)
-        raise NoPathError("vertices in different components", witness=[x, y])
+        return bfs_path(self._adj, x, y)
+
+
+def bfs_path(adj: Dict, x, y) -> Tuple:
+    """A shortest x-y path in the graph whose adjacency tuples are adj,
+    found by BFS that tries neighbours in their order in adj."""
+    if x == y:
+        return (x,)
+    parent = {x: None}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                if u == y:
+                    path = [y]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                queue.append(u)
+    raise NoPathError("vertices in different components", witness=[x, y])
 
 
 def articulation_points(G: Graph) -> FrozenSet:

@@ -25,9 +25,11 @@ every cell that they replace:
   filtered by `attachments <= boundary`, are exactly the cells the scan
   keeps, in the scan's order.
 
-A component's edges are the edges at its vertices, read from the adjacency
-of W-bullet; they form the same edge set as the scan over every edge of
-W-bullet, and `Graph` does not depend on the order it is given edges in.
+A component's edges are the edges at its vertices. The search reads them,
+their degrees and the legs' BFS paths from the adjacency of W-bullet,
+restricted at each attachment to the component: that is the adjacency of
+the graph of those edges, which the scan over every edge of W-bullet
+builds, with the same sorted neighbour order.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .errors import CapacityError, InputError, InternalError
 from .flatness import FlatnessPair, flaps, is_regular, short_edges
-from .graph import Graph, cyclic_equal, norm_edge, vkey
+from .graph import Graph, bfs_path, cyclic_equal, norm_edge, vkey
 from .painting import outer_face
 from .wall import Wall
 
@@ -131,10 +133,16 @@ def _components_of_bullet(F: FlatnessPair, Wb: Graph):
     inner = Wb.remove_vertices(ground)
     comps = []
     for comp in inner.components():
-        H = Graph((), [(v, u) for v in comp for u in Wb.neighbors(v)])
-        att = sorted((v for v in H.vertices if v in ground), key=vkey)
-        centers = [v for v in comp if H.degree(v) == 3]
-        if any(H.degree(v) > 3 for v in comp) or len(centers) > 1:
+        # H, the graph of the edges at comp, by its adjacency: all of a
+        # comp vertex's, and an attachment's edges into comp
+        adj = {v: Wb.neighbors(v) for v in comp}
+        att = sorted({u for v in comp for u in adj[v] if u in ground},
+                     key=vkey)
+        for x in att:
+            adj[x] = tuple(u for u in Wb.neighbors(x) if u in comp)
+        m = sum(map(len, adj.values())) // 2
+        centers = [v for v in comp if len(adj[v]) == 3]
+        if any(len(adj[v]) > 3 for v in comp) or len(centers) > 1:
             return None, comp
         if centers:
             if len(att) != 3:
@@ -143,14 +151,12 @@ def _components_of_bullet(F: FlatnessPair, Wb: Graph):
         else:
             if len(att) != 2:
                 return None, comp
-            path = H.shortest_path(att[0], att[1])
-            if len(path) != H.n or H.m != len(path) - 1:
+            path = bfs_path(adj, att[0], att[1])
+            if len(path) != len(adj) or m != len(path) - 1:
                 return None, comp
             w = path[(len(path) - 1) // 2]
-        legs = {}
-        for x in att:
-            legs[x] = tuple(H.shortest_path(w, x))
-        if sum(len(p) - 1 for p in legs.values()) != H.m:
+        legs = {x: bfs_path(adj, w, x) for x in att}
+        if sum(len(p) - 1 for p in legs.values()) != m:
             return None, comp
         comps.append(_Component(frozenset(comp), tuple(att), w, legs))
     return comps, None

@@ -82,18 +82,24 @@ def temp_perimeter(r: int) -> List[Coord]:
     return cycle
 
 
+def temp_brick(band: int, slot: int) -> List[Coord]:
+    """The template brick between rows band, band + 1 and vertical paths
+    slot, slot + 1 (columns 2m - 1 and 2m are vertical path m)."""
+    x1 = 2 * slot - band % 2
+    return ([(x, band) for x in range(x1, x1 + 3)]
+            + [(x, band + 1) for x in range(x1 + 2, x1 - 1, -1)])
+
+
 def temp_bricks(r: int) -> List[List[Coord]]:
-    vs = set(temp_vertices(r))
-    out = []
-    for y in range(1, r):
-        cols = [c for c in range(1, 2 * r + 1)
-                if (c + y) % 2 == 0 and (c, y) in vs and (c, y + 1) in vs]
-        for c1, c2 in zip(cols, cols[1:]):
-            cyc = [(x, y) for x in range(c1, c2 + 1)]
-            cyc += [(x, y + 1) for x in range(c2, c1 - 1, -1)]
-            if all(v in vs for v in cyc):
-                out.append(cyc)
-    return out
+    check_height(r)
+    return [temp_brick(y, m) for y in range(1, r) for m in range(1, r)]
+
+
+def internal_slots(r: int) -> List[Coord]:
+    """(band, slot) of the template bricks off the perimeter (rows 1, r and
+    vertical paths 1, r), in `temp_bricks` order."""
+    inner = range(2, r - 1)
+    return [(y, m) for y in inner for m in inner]
 
 
 def temp_corners(r: int) -> List[Coord]:
@@ -215,8 +221,15 @@ class Wall:
         return [self.expand_cycle(b) for b in temp_bricks(self.height)]
 
     def internal_bricks(self) -> List[Tuple]:
-        per = self.perimeter_set
-        return [b for b in self.bricks() if not (set(b) & per)]
+        """The bricks that share no vertex with the perimeter, expanded from
+        the template bricks off the template perimeter (`internal_slots`).
+
+        This is exact for a wall that passes `validate`: distinct
+        subdivision paths share only branch vertices, which are distinct,
+        so a brick meets the perimeter exactly when its template brick does.
+        """
+        return [self.expand_cycle(temp_brick(y, m))
+                for y, m in internal_slots(self.height)]
 
     def validate(self) -> List[str]:
         return list(self._memoised("problems",
@@ -414,15 +427,18 @@ def subwall(W: Wall, rows: Sequence[int], cols: Sequence[int]) -> Wall:
     return S
 
 
-def enumerate_subwalls(W: Wall, rp: int):
-    """All valid (rows, cols, subwall) selections, lexicographic order."""
+def subwall_selections(W: Wall, rp: int):
+    """The (rows, cols) of every rp-subwall of W, in lexicographic order,
+    without building any: `subwall` builds the one a caller wants."""
     check_height(rp)
+    bad = W.validate()
+    if bad:
+        raise InputError("subwall of a malformed wall", witness=bad)
     idx = range(1, W.height + 1)
     for rows in itertools.combinations(idx, rp):
-        if not row_selection_valid(rows):
-            continue
-        for cols in itertools.combinations(idx, rp):
-            yield rows, cols, subwall(W, rows, cols)
+        if row_selection_valid(rows):
+            for cols in itertools.combinations(idx, rp):
+                yield rows, cols
 
 
 # -- interiors and tilts ---------------------------------------------------

@@ -1,8 +1,12 @@
 """Independent oracles used to cross-check library results.
 
 Deliberately coded without importing any library internals beyond the Graph
-value type, and by different methods than the library uses. There are two
-exceptions, each kept as the reference for a faster library method:
+value type, and by different methods than the library uses. The exceptions
+are each kept as the reference for a faster library method:
+- `enumerate_subwalls`, which builds every subwall, and
+  `find_homogeneous_by_building`, the homogeneous-subwall search that
+  builds every candidate and reads its internal bricks' palettes, for the
+  search that reads them off a table of the parent wall's brick palettes;
 - `find_homogeneous_by_tilting`, the homogeneous-subwall search that tilts
   every candidate, for the search that reads palettes off the source pair;
 - `trace_by_union_find`, the normal-cycle trace that unites the faces
@@ -123,13 +127,47 @@ def is_subdivision_of(G: Graph, pattern: Graph) -> bool:
     return nx.is_isomorphic(g, p)
 
 
+def enumerate_subwalls(W, rp: int):
+    """All valid (rows, cols, subwall) selections, lexicographic order."""
+    from flatwall.wall import subwall, subwall_selections
+
+    for rows, cols in subwall_selections(W, rp):
+        yield rows, cols, subwall(W, rows, cols)
+
+
+def palettes_by_building(F, zeta, S):
+    """The palettes in F of the bricks of S that miss S's perimeter, found
+    by a scan of every brick of S, in `Wall.bricks` order."""
+    from flatwall.homogeneity import palette
+
+    per = S.perimeter_set
+    return (palette(F, zeta, b) for b in S.bricks() if not set(b) & per)
+
+
+def find_homogeneous_by_building(G: Graph, F, zeta, r: int):
+    """`homogeneity.find_homogeneous` with `allow_short`, by building each
+    subwall in turn and computing its internal bricks' palettes, with the
+    same stop at the first brick that differs; only the first subwall that
+    passes is tilted, and its tilt must be homogeneous."""
+    from flatwall.homogeneity import is_homogeneous
+    from flatwall.tilt import compute_tilt
+
+    for _rows, _cols, S in enumerate_subwalls(F.wall, r):
+        pals = palettes_by_building(F, zeta, S)
+        first = next(pals, None)
+        if all(p == first for p in pals):
+            res = compute_tilt(G, F, S)
+            assert is_homogeneous(res.pair, zeta)
+            return res
+    return None
+
+
 def find_homogeneous_by_tilting(G: Graph, F, zeta, r: int):
     """The first r-subwall (lexicographic) whose tilt is homogeneous, found
     by tilting each subwall in turn and testing the tilt; None if there is
     none. Any error of a tilt is raised."""
     from flatwall.homogeneity import is_homogeneous
     from flatwall.tilt import compute_tilt
-    from flatwall.wall import enumerate_subwalls
 
     for _rows, _cols, S in enumerate_subwalls(F.wall, r):
         res = compute_tilt(G, F, S)

@@ -20,9 +20,8 @@ from flatwall.pipeline import (OracleAnswer, ScriptedOracle,
 from flatwall.rendition import check_tightness, tighten, validate_rendition
 from flatwall.serialize import canonical_bytes, pair_from_json, pair_to_json
 from flatwall.tilt import compute_tilt, regularize, validate_tilt
-from flatwall.wall import enumerate_subwalls
-
-from oracles import has_minor_bruteforce, treewidth_by_elimination
+from oracles import (enumerate_subwalls, has_minor_bruteforce,
+                     treewidth_by_elimination)
 from test_rendition import random_chords, ring_rendition
 
 DEFECTS = ["with-untidy", "with-untidy2", "with-marginal", "with-external",

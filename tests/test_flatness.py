@@ -14,10 +14,10 @@ from flatwall.painting import Painting, trace_normal_cycle
 from flatwall.rendition import Rendition, check_tightness
 from flatwall.tilt import compute_tilt
 from flatwall.wall import (PegsCorners, Wall, admits_pegs_corners,
-                           enumerate_subwalls, interior, is_tilt, temp_hpath,
+                           interior, is_tilt, temp_hpath,
                            temp_perimeter, temp_vpath)
 
-from oracles import trace_by_union_find
+from oracles import enumerate_subwalls, trace_by_union_find
 
 
 def influence_by_union_find(F, cyc):

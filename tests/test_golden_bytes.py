@@ -8,7 +8,8 @@ condition (v) notes of passes before its last, which changed the notes of
 17 `separated_fan` draws and no rendition), the min-fill hash from the scan
 that sorted every remaining vertex on each step, and the tilt-corpus hash
 from the tilt that built its rotation system by hand instead of through the
-tightening editor. The driver hashes were taken again when the unused
+tightening editor, and the height-21 search hash from the search that built
+every candidate subwall. The driver hashes were taken again when the unused
 parameter function f_confrontation left the
 `params` of every outcome. A change that only makes the library faster or
 smaller must leave every one of them as it is; a deliberate change of the
@@ -33,9 +34,9 @@ from flatwall.serialize import (canonical_bytes, outcome_to_json,
                                 rendition_to_json)
 from flatwall.serialize import enc
 from flatwall.tilt import compute_tilt, regularize
-from flatwall.wall import (choices_of_pegs_corners, elementary_wall,
-                           enumerate_subwalls)
+from flatwall.wall import choices_of_pegs_corners, elementary_wall
 
+from oracles import enumerate_subwalls
 from test_rendition import (ground_separator_rendition, random_chords,
                             ring_rendition, separated_fan,
                             shared_boundary_chords)
@@ -51,6 +52,14 @@ def test_homogeneous_search_bytes():
     res = find_homogeneous(G, F, example_coloring(F, 2), 5, allow_short=True)
     assert _sha(pair_to_json(G, res.pair)) == (
         "c57dbac24e5458b90b2c86376f9cc7ae0070a0fc1412e3bba514933114fddfc4")
+
+
+def test_homogeneous_search_bytes_at_height_21():
+    # the search of the benchmark's transforms workload
+    G, F = generate_fixture(0, 21, "base")
+    res = find_homogeneous(G, F, example_coloring(F, 2), 5, allow_short=True)
+    assert _sha(pair_to_json(G, res.pair)) == (
+        "2767e404e7cedf0c406e54a1445d98018de791162d54070a559e7fd48f4119df")
 
 
 def test_regularize_and_representation_bytes():

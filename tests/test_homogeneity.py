@@ -1,8 +1,10 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from flatwall import homogeneity
+from flatwall import homogeneity, wall
 from flatwall.errors import InputError, InternalError
 from flatwall.flatness import (PROFILES, FlatnessPair, generate_fixture,
                                influence)
@@ -13,13 +15,19 @@ from flatwall.painting import Painting
 from flatwall.rendition import Rendition
 from flatwall.serialize import canonical_bytes, pair_to_json
 from flatwall.tilt import TiltResult, compute_tilt
-from flatwall.wall import enumerate_subwalls, subwall
+from flatwall.wall import subwall, subwall_selections, temp_brick
 
-from oracles import find_homogeneous_by_tilting
+from oracles import (enumerate_subwalls, find_homogeneous_by_building,
+                     find_homogeneous_by_tilting, palettes_by_building)
 
 
 def constant_coloring(F, w=1):
     return FlapColoring({cid: 1 for cid in F.rendition.sigma}, w)
+
+
+def one_color_per_cell(F):
+    cids = sorted(F.rendition.sigma, key=str)
+    return FlapColoring({cid: i for i, cid in enumerate(cids, 1)}, len(cids))
 
 
 def test_h_base_and_recurrence_values():
@@ -251,6 +259,78 @@ def test_search_matches_tilting_every_subwall(seed, height, profile, rs):
         for b in bricks:
             assert set(influence(res.pair, b)) == set(influence(F, b))
             assert palette(res.pair, zeta, b) == palette(F, zeta, b)
+
+
+def test_table_palettes_match_building_every_subwall():
+    # every 5-subwall of a 9-wall, all 4 internal brick palettes of each
+    G, F = generate_fixture(2, 9, "combined")
+    cids = sorted(F.rendition.sigma, key=str)
+    zeta = FlapColoring({c: 1 + (i * 7 // 3) % 3 for i, c in enumerate(cids)},
+                        3)
+    table = homogeneity._brick_palettes(F, zeta)
+    verdicts = []
+    for rows, cols, S in enumerate_subwalls(F.wall, 5):
+        want = list(palettes_by_building(F, zeta, S))
+        assert list(table(rows, cols)) == want, (rows, cols)
+        verdicts.append(len(set(want)) == 1)
+        assert homogeneity._all_equal(table(rows, cols)) == verdicts[-1]
+    assert len(verdicts) == 7308 and 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_subwall_brick_influence_is_the_union_of_its_parent_bricks(profile):
+    # every brick of S, not only the internal ones, on random 5-subwalls
+    G, F = generate_fixture(3, 9, profile)
+    W = F.wall
+    sels = random.Random(profile).sample(list(subwall_selections(W, 5)), 20)
+    assert any(rows[1] % 2 for rows, _ in sels)
+    for rows, cols in sels:
+        S = subwall(W, rows, cols)
+        for k in range(1, 5):
+            for l in range(1, 5):
+                m = 5 - l if rows[1] % 2 else l
+                got = set()
+                for y in range(rows[k - 1], rows[k]):
+                    for x in range(cols[m - 1], cols[m]):
+                        got |= set(influence(F, W.expand_cycle(
+                            temp_brick(y, x))))
+                want = set(influence(F, S.expand_cycle(temp_brick(k, l))))
+                assert got == want, (rows, cols, k, l)
+
+
+def test_missing_flap_raises_at_the_same_selection(monkeypatch):
+    G, F = generate_fixture(0, 9, "with-flaps")
+    zeta = one_color_per_cell(F)
+    zeta = FlapColoring({c: k for c, k in zeta.colors.items()
+                         if c != "c|13,6|14,6"}, zeta.w)
+    seen = []
+    real = wall.subwall_selections
+
+    def recorded(W, r):
+        for sel in real(W, r):
+            seen.append(sel)
+            yield sel
+
+    monkeypatch.setattr(wall, "subwall_selections", recorded)
+    monkeypatch.setattr(homogeneity, "subwall_selections", recorded)
+    raised = []
+    for search in (find_homogeneous_by_building,
+                   lambda *a: find_homogeneous(*a, allow_short=True)):
+        seen.clear()
+        with pytest.raises(InputError, match="misses a flap") as info:
+            search(G, F, zeta, 5)
+        raised.append((len(seen), seen[-1], info.value.witness))
+    assert raised[0] == raised[1]
+    assert raised[0][0] > 1000          # deep in the lexicographic order
+
+
+def test_failed_search_at_height_11_is_fast():
+    # every palette differs, so no 5-subwall of the 11-wall passes
+    G, F = generate_fixture(0, 11)
+    start = time.perf_counter()
+    assert find_homogeneous(G, F, one_color_per_cell(F), 5,
+                            allow_short=True) is None
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.xfail(strict=True, raises=InternalError)

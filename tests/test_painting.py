@@ -10,9 +10,7 @@ from flatwall.flatness import PROFILES, cycle_runs, generate_fixture
 from flatwall.graph import norm_edge
 from flatwall.painting import (NormalCycleTrace, Painting, trace_faces,
                                trace_normal_cycle, validate_painting)
-from flatwall.wall import enumerate_subwalls
-
-from oracles import trace_by_union_find
+from oracles import enumerate_subwalls, trace_by_union_find
 
 
 def triangle():

@@ -10,7 +10,9 @@ from flatwall.flatness import (classify_cells, generate_fixture, influence_union
 from flatwall.graph import Graph
 from flatwall.tilt import (_splice_wall, compute_tilt, regularize,
                            repair_untidy, stretching, tilt_main)
-from flatwall.wall import enumerate_subwalls, is_tilt
+from flatwall.wall import is_tilt
+
+from oracles import enumerate_subwalls
 
 DEFECTS = ["with-untidy", "with-untidy2", "with-marginal", "with-external",
            "combined"]

@@ -9,8 +9,8 @@ from flatwall.errors import InputError
 from flatwall.graph import vkey
 from flatwall.wall import (PegsCorners, Wall, admits_pegs_corners,
                            choices_of_pegs_corners, elementary_wall,
-                           enumerate_subwalls, interior, is_tilt,
-                           row_selection_valid, subdivide_wall, subwall,
+                           interior, is_tilt, row_selection_valid,
+                           subdivide_wall, subwall,
                            temp_corners, temp_degree, temp_edges,
                            temp_hpath, temp_pegs, temp_perimeter,
                            temp_vertices, temp_vpath)
@@ -172,7 +172,7 @@ def test_subwall_of_a_malformed_wall_is_an_input_error(a, b, rows):
 
 def test_subwall_enumeration_counts():
     W = elementary_wall(5)
-    subs = list(enumerate_subwalls(W, 3))
+    subs = list(oracles.enumerate_subwalls(W, 3))
     assert len(subs) == 100  # C(5,3)^2
     seen = set()
     for rows, cols, S in subs:
