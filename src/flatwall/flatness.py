@@ -20,13 +20,13 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
                     Union)
 
 from .errors import InputError, InternalError
-from .graph import Graph, cyclic_equal, is_separation, norm_edge, vkey
+from .graph import Graph, cyclic_equal, ekey, is_separation, norm_edge, vkey
 from .painting import Painting, trace_normal_cycle, validate_painting
 from .rendition import (Rendition, check_tightness, flap_union,
                         validate_rendition)
-from .wall import (PegsCorners, Wall, elementary_wall, fresh_names,
-                   subdivide_wall, temp_bricks, temp_corners, temp_degree,
-                   temp_edges, temp_pegs, temp_perimeter, temp_vertices)
+from .wall import (PegsCorners, Wall, _template, elementary_wall,
+                   fresh_names, subdivide_wall, temp_bricks, temp_corners,
+                   temp_pegs)
 
 Cycle = Union[Wall, Sequence]
 
@@ -147,10 +147,10 @@ def validate_flatness(G: Graph, F: FlatnessPair,
         problems.append("(X, Y) is not a separation of G")
     if not W.graph.vertex_set <= F.Y:
         problems.append("wall has vertices outside Y")
-    for u, v in W.graph.edges:
-        if not G.has_edge(u, v):
-            problems.append(f"wall edge {u}-{v} missing from G")
-            break
+    missing = W.graph.edge_set - G.edge_set
+    if missing:
+        u, v = min(missing, key=ekey)
+        problems.append(f"wall edge {u}-{v} missing from G")
 
     P, C = F.pegs_corners.pegs, F.pegs_corners.corners
     mid = F.X & F.Y
@@ -566,15 +566,14 @@ def _plant_external(b: _Builder, p: str, q: str):
 
 def _marginal_sites(r: int) -> List[Tuple]:
     """Triples (o, d, q) along the perimeter: peg, 3-branch, peg."""
-    per = temp_perimeter(r)
-    deg = temp_degree(r)
-    cset = set(temp_corners(r))
+    T = _template(r)
+    per, deg = T.perimeter, T.degree
     out = []
     n = len(per)
     for i in range(n):
         o, d, q = per[i - 1], per[i], per[(i + 1) % n]
         if (deg[d] == 3 and deg[o] == 2 and deg[q] == 2
-                and d not in cset and q not in cset):
+                and d not in T.corners and q not in T.corners):
             out.append((o, d, q))
     return out
 
@@ -587,21 +586,20 @@ def generate_fixture(seed: int, r: int,
     if profile == "non-well-aligned":
         return _non_well_aligned_fixture(seed, r)
     rng = random.Random((seed, r, profile).__repr__())
-    deg = temp_degree(r)
+    T = _template(r)
 
     forced: Dict[Tuple, int] = {}
     untidy_site = untidy2_site = marginal_site = external_site = None
     if profile in ("with-untidy", "combined"):
-        inner = [c for c in temp_vertices(r)
-                 if deg[c] == 3 and c not in set(temp_perimeter(r))]
+        inner = [c for c in T.vertices
+                 if T.degree[c] == 3 and c not in T.perimeter_set]
         z = rng.choice(sorted(inner))
         untidy_site = ((z[0] - 1, z[1]), z, (z[0] + 1, z[1]))
         forced[_ckey(untidy_site[0], z)] = 1
         forced[_ckey(z, untidy_site[2])] = 1
     if profile == "with-untidy2":
-        perset = set(temp_perimeter(r))
-        sites = [e for e in temp_edges(r)
-                 if e[0] not in perset and e[1] not in perset]
+        sites = [e for e in T.edges if e[0] not in T.perimeter_set
+                 and e[1] not in T.perimeter_set]
         untidy2_site = rng.choice(sorted(sites))
         forced[_ckey(*untidy2_site)] = 3
     if profile in ("with-marginal", "combined"):

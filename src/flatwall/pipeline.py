@@ -411,14 +411,15 @@ def find_low_tw_compass(G: Graph, r: int, t: int, L: Iterable,
     A = frozenset(ans.apex)
     pair = ans.pair
 
-    # Step 3: an L-avoiding subwall and the cheapest of four disjoint tilts
+    # Step 3: an L-avoiding subwall and the cheapest of four disjoint tilts;
+    # with L empty, block (0, 0) avoids it
     chosen = None
     for bi in range(ell):
         for bj in range(ell):
             rows = range(bi * rp + 1, (bi + 1) * rp + 1)
             cols = range(bj * rp + 1, (bj + 1) * rp + 1)
             Wpp = subwall(pair.wall, rows, cols)
-            if not (L & influence_union(pair, Wpp).vertex_set):
+            if not L or not (L & influence_union(pair, Wpp).vertex_set):
                 chosen = (bi, bj, Wpp)
                 break
         if chosen:

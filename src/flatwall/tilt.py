@@ -25,7 +25,7 @@ from .flatness import (FlatnessPair, classify_cells, cycle_runs, influence,
                        validate_flatness)
 from .graph import Graph, max_vertex_disjoint_paths, norm_edge, vkey
 from .rendition import Rendition, _Work, flap_union
-from .wall import PegsCorners, Wall, fresh_names, is_tilt, temp_degree
+from .wall import PegsCorners, Wall, _template, fresh_names, is_tilt
 
 
 # -- stretchings -----------------------------------------------------------
@@ -130,7 +130,7 @@ def _splice_wall(W: Wall, old_path: Sequence, new_path: Sequence,
         raise InternalError("splice endpoints differ",
                             witness=[old_path[0], new_path[0]])
     inv = {v: c for c, v in W.branch_coords.items()}
-    deg = temp_degree(W.height)
+    deg = _template(W.height).degree
     chain = _seg_chain(W, old_path)
     interior = [(inv[v], v) for v in old_path[1:-1] if v in inv]
     if len(chain) != len(interior) + 1:
@@ -260,7 +260,7 @@ def tilt_main(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
     Yp = set(V_mid) | set(V_in)
     for cid in kept_internal | set(ip):
         Yp |= R.sigma[cid].vertex_set
-    Xp = (set(G.vertices) - Yp) | V_mid
+    Xp = (G.vertex_set - Yp) | V_mid
 
     pegs = set(F.pegs_corners.pegs & V_mid)
     corners = set(F.pegs_corners.corners & V_mid)

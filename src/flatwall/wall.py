@@ -4,12 +4,22 @@ A Wall always carries its template correspondence: a map from template
 coordinates of the elementary r-wall to vertices, plus one subdivision path
 per template edge. Everything else (perimeter, bricks, horizontal and
 vertical paths) is derived from the template.
+
+The template of a height, the elementary r-wall, is the same for every
+wall of that height. It is built once per process, on first use, as an
+immutable record (`_template`) that wall validation, subwalls and wall
+recognition share; its skeleton is built when recognition first needs it.
+The cache holds one record per distinct height used, so its size is
+bounded by the heights a caller asks for.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .errors import CapacityError, InputError
 from .graph import Graph, norm_edge, vkey
@@ -26,29 +36,15 @@ def check_height(r: int):
 
 
 def temp_vertices(r: int) -> List[Coord]:
-    check_height(r)
-    out = [(x, y) for y in range(1, r + 1) for x in range(1, 2 * r + 1)]
-    out.remove((2 * r, 1))
-    out.remove((1, r))
-    return out
+    return list(_template(r).vertices)
+
 
 def temp_edges(r: int) -> List[Tuple[Coord, Coord]]:
-    vs = set(temp_vertices(r))
-    out = []
-    for (x, y) in sorted(vs):
-        if (x + 1, y) in vs:
-            out.append(((x, y), (x + 1, y)))
-        if (x, y + 1) in vs and (x + y) % 2 == 0:
-            out.append(((x, y), (x, y + 1)))
-    return out
+    return list(_template(r).edges)
 
 
 def temp_degree(r: int) -> Dict[Coord, int]:
-    deg: Dict[Coord, int] = {c: 0 for c in temp_vertices(r)}
-    for a, b in temp_edges(r):
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+    return dict(_template(r).degree)
 
 
 def temp_hpath(r: int, j: int) -> List[Coord]:
@@ -74,12 +70,7 @@ def temp_vpath(r: int, m: int) -> List[Coord]:
 
 
 def temp_perimeter(r: int) -> List[Coord]:
-    left = temp_vpath(r, 1)                      # (1,1) .. (2,r)
-    top = temp_hpath(r, r)                       # (2,r) .. (2r,r)
-    right = list(reversed(temp_vpath(r, r)))     # (2r,r) .. (2r-1,1)
-    bottom = list(reversed(temp_hpath(r, 1)))    # (2r-1,1) .. (1,1)
-    cycle = left + top[1:] + right[1:] + bottom[1:-1]
-    return cycle
+    return list(_template(r).perimeter)
 
 
 def temp_brick(band: int, slot: int) -> List[Coord]:
@@ -103,16 +94,121 @@ def internal_slots(r: int) -> List[Coord]:
 
 
 def temp_corners(r: int) -> List[Coord]:
-    return [(1, 1), (2, r), (2 * r - 1, 1), (2 * r, r)]
+    return list(_template(r).corners)
 
 
 def temp_pegs(r: int) -> List[Coord]:
-    deg = temp_degree(r)
-    return [c for c in temp_perimeter(r) if deg[c] == 2]
+    return list(_template(r).pegs)
 
 
 def _norm_cedge(a: Coord, b: Coord) -> Tuple[Coord, Coord]:
     return (a, b) if a < b else (b, a)
+
+
+class _Skeleton(NamedTuple):
+    """The elementary r-wall's skeleton, as wall recognition matches it.
+
+    - branch, arcs: what `_suppressed` traces on the wall whose vertex ids
+      are the `_cid` strings, in its order and orientation; coord: the
+      coordinate of each id;
+    - arcs_at, order, back: the template half of `_skeleton_embeddings`,
+      the arcs at each branch vertex, the placement order (breadth first
+      from the anchor, the first branch vertex on a 3-arc cycle) and, per
+      placed vertex, its arcs back to vertices placed before it, each with
+      its other end.
+    """
+
+    branch: Tuple[str, ...]
+    arcs: Tuple[Tuple[str, ...], ...]
+    coord: Mapping[str, Coord]
+    arcs_at: Mapping[str, Tuple[Tuple[str, ...], ...]]
+    order: Tuple[str, ...]
+    back: Tuple[Tuple[Tuple[Tuple[str, ...], str], ...], ...]
+
+
+@dataclass(frozen=True)
+class _Template:
+    """The elementary r-wall, as every wall of height r reads it.
+
+    - vertices, edges: in `temp_vertices` and `temp_edges` order, each edge
+      normalised (its lesser end first), and the degree map, whose keys are
+      the vertex set;
+    - perimeter: in `temp_perimeter` order, with its set; pegs, corners: in
+      `temp_pegs` and `temp_corners` order;
+    - skeleton: built on first use, so that a process that only validates
+      walls never traces it (a dataclass rather than a NamedTuple, for the
+      instance dict `cached_property` keeps it in).
+    """
+
+    vertices: Tuple[Coord, ...]
+    edges: Tuple[Tuple[Coord, Coord], ...]
+    degree: Mapping[Coord, int]
+    perimeter: Tuple[Coord, ...]
+    perimeter_set: FrozenSet[Coord]
+    pegs: Tuple[Coord, ...]
+    corners: Tuple[Coord, ...]
+
+    @functools.cached_property
+    def skeleton(self) -> _Skeleton:
+        ids = {c: _cid(c) for c in self.vertices}
+        branch, arcs = _suppressed(Graph(
+            ids.values(), ((ids[a], ids[b]) for a, b in self.edges)))
+        at = {b: tuple(a) for b, a in _arcs_at(branch, arcs).items()}
+        order = [next(v for v in branch if _on_triangle(at, v))]
+        seen = set(order)
+        for v in order:                 # the template is connected
+            for a in at[v]:
+                w = _other(a, v)
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        pos = {v: i for i, v in enumerate(order)}
+        back = tuple(tuple((a, _other(a, v)) for a in at[v]
+                           if pos[_other(a, v)] < i)
+                     for i, v in enumerate(order))
+        return _Skeleton(
+            branch=tuple(branch), arcs=tuple(arcs),
+            coord=MappingProxyType({i: c for c, i in ids.items()}),
+            arcs_at=MappingProxyType(at), order=tuple(order), back=back)
+
+
+@functools.lru_cache(maxsize=None)
+def _template(r: int) -> _Template:
+    """The elementary r-wall's record, built once per height and process.
+
+    Every value in it is immutable, so callers share it; the `temp_*`
+    functions hand out fresh lists. The cache holds one record per
+    distinct height a process uses.
+    """
+    check_height(r)
+    vertices = [(x, y) for y in range(1, r + 1) for x in range(1, 2 * r + 1)]
+    vertices.remove((2 * r, 1))
+    vertices.remove((1, r))
+    # one object per coordinate, however often the record holds it
+    one = {c: c for c in vertices}
+    edges = []
+    for c in sorted(one):
+        x, y = c
+        if (x + 1, y) in one:
+            edges.append((c, one[x + 1, y]))
+        if (x, y + 1) in one and (x + y) % 2 == 0:
+            edges.append((c, one[x, y + 1]))
+    degree = {c: 0 for c in vertices}
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    left = temp_vpath(r, 1)                      # (1,1) .. (2,r)
+    top = temp_hpath(r, r)                       # (2,r) .. (2r,r)
+    right = list(reversed(temp_vpath(r, r)))     # (2r,r) .. (2r-1,1)
+    bottom = list(reversed(temp_hpath(r, 1)))    # (2r-1,1) .. (1,1)
+    cycle = left + top[1:] + right[1:] + bottom[1:-1]
+    perimeter = tuple(one[c] for c in cycle)
+    return _Template(
+        vertices=tuple(vertices), edges=tuple(edges),
+        degree=MappingProxyType(degree),
+        perimeter=perimeter, perimeter_set=frozenset(perimeter),
+        pegs=tuple(c for c in perimeter if degree[c] == 2),
+        corners=((1, 1), (2, r), (2 * r - 1, 1), (2 * r, r)))
 
 
 # -- the Wall value --------------------------------------------------------
@@ -237,21 +333,21 @@ class Wall:
 
     def _problems(self) -> List[str]:
         problems = []
-        r = self.height
-        tset = set(temp_vertices(r))
-        if set(self.branch_coords) != tset:
+        T = _template(self.height)
+        if self.branch_coords.keys() != T.degree.keys():
             problems.append("branch coordinate set differs from template")
             return problems
         imgs = set(self.branch_coords.values())
         if len(imgs) != len(self.branch_coords):
             problems.append("branch coordinate map is not injective")
-        tedges = {_norm_cedge(*e) for e in temp_edges(r)}
-        if set(self.seg_paths) != tedges:
+        # the template edges are distinct, so this is set equality
+        if (len(self.seg_paths) != len(T.edges)
+                or not all(map(self.seg_paths.__contains__, T.edges))):
             problems.append("subdivision paths do not match template edges")
             return problems
         seen_edges = set()
         seen_internal = set()
-        deg = temp_degree(r)
+        deg = T.degree
         for (a, b), p in self.seg_paths.items():
             ends = {p[0], p[-1]}
             if ends != {self.branch_coords[a], self.branch_coords[b]}:
@@ -295,9 +391,9 @@ def _cid(c: Coord) -> str:
 
 
 def elementary_wall(r: int) -> Wall:
-    check_height(r)
-    branch = {c: _cid(c) for c in temp_vertices(r)}
-    segs = {e: (_cid(e[0]), _cid(e[1])) for e in temp_edges(r)}
+    T = _template(r)
+    branch = {c: _cid(c) for c in T.vertices}
+    segs = {e: (_cid(e[0]), _cid(e[1])) for e in T.edges}
     return Wall(r, branch, segs)
 
 
@@ -415,7 +511,7 @@ def subwall(W: Wall, rows: Sequence[int], cols: Sequence[int]) -> Wall:
             branch[(x, y)] = hp[y - 1][i]
 
     segs = {}
-    for a, b in temp_edges(rp):
+    for a, b in _template(rp).edges:
         if a[1] == b[1]:
             path, at = hp[a[1] - 1], hpos[a[1] - 1]
         else:                   # columns 2m-1 and 2m are vertical path m
@@ -498,13 +594,6 @@ def _suppressed(G: Graph):
     return branch, out
 
 
-def _template_skeleton(r: int):
-    """The elementary r-wall's skeleton, and the coordinate of each vertex."""
-    T = elementary_wall(r)
-    tb, tarcs = _suppressed(T.graph)
-    return tb, tarcs, {v: c for c, v in T.branch_coords.items()}
-
-
 def _arcs_at(branch, arcs) -> Dict:
     out = {b: [] for b in branch}
     for a in arcs:
@@ -525,9 +614,9 @@ def _on_triangle(at: Dict, v) -> bool:
                for w in ns for x in (_other(b, w) for b in at[w]))
 
 
-def _skeleton_embeddings(tb, tarcs, hb, harcs,
+def _skeleton_embeddings(S: _Skeleton, hb, harcs,
                          budget: Optional[int] = None):
-    """Every embedding of a template skeleton into a host skeleton.
+    """Every embedding of the template skeleton S into a host skeleton.
 
     Skeletons are (branch vertices, arcs) as `_suppressed` returns them. An
     embedding maps the branch vertices bijectively and each template arc to
@@ -538,35 +627,20 @@ def _skeleton_embeddings(tb, tarcs, hb, harcs,
     The search starts from a template vertex on a 3-arc cycle (every
     elementary wall has one at its corners), tried only on host vertices on
     such cycles (an embedding is a skeleton isomorphism), and places the
-    other vertices in BFS order. So only a few host vertices are tried as
-    the start, but candidates are still tried in order of vertex names.
-    `budget` caps the placements tried.
+    other vertices in BFS order (`S.order`). So only a few host vertices
+    are tried as the start, but candidates are still tried in order of
+    vertex names. `budget` caps the placements tried.
     """
-    if len(tb) != len(hb) or len(tarcs) != len(harcs) or not tb:
+    if len(S.branch) != len(hb) or len(S.arcs) != len(harcs):
         return
-    t_at = _arcs_at(tb, tarcs)
+    t_at, order, back = S.arcs_at, S.order, S.back
     h_at = _arcs_at(hb, harcs)
     between: Dict = {}
     for ha in harcs:
         between.setdefault((ha[0], ha[-1]), []).append(ha)
         if ha[-1] != ha[0]:
             between.setdefault((ha[-1], ha[0]), []).append(ha)
-    anchor = next(v for v in tb if _on_triangle(t_at, v))
     starts = (h for h in hb if _on_triangle(h_at, h))
-    order = [anchor]
-    seen = {anchor}
-    for v in order:
-        for a in t_at[v]:
-            w = _other(a, v)
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    if len(order) != len(tb):
-        return
-    pos = {v: i for i, v in enumerate(order)}
-    # the arcs from each template vertex back to vertices placed before it
-    back = [[(a, _other(a, v)) for a in t_at[v] if pos[_other(a, v)] < i]
-            for i, v in enumerate(order)]
 
     vmap: Dict = {}
     used_h = set()
@@ -639,19 +713,18 @@ def recognize_wall(G: Graph, r: int) -> Optional[Wall]:
     """
     if G.n == 0 or any(G.degree(v) not in (2, 3) for v in G.vertex_set):
         return None
-    tb, tarcs, tcoord = _template_skeleton(r)
+    S = _template(r).skeleton
     hb, harcs = _suppressed(G)
     if sum(len(a) - 1 for a in harcs) != G.m:
         return None
-    emb = next(_skeleton_embeddings(tb, tarcs, hb, harcs, budget=400000),
-               None)
+    emb = next(_skeleton_embeddings(S, hb, harcs, budget=400000), None)
     if emb is None:
         return None
     vmap, amap = emb
-    branch_coords = {tcoord[v]: h for v, h in vmap.items()}
+    branch_coords = {S.coord[v]: h for v, h in vmap.items()}
     seg_paths: Dict = {}
     for ta, hp in amap.items():
-        coords = [tcoord[x] for x in ta]
+        coords = [S.coord[x] for x in ta]
         k = len(coords) - 1
         cut = list(range(k)) + [len(hp) - 1]
         for j in range(1, k):
@@ -664,12 +737,13 @@ def recognize_wall(G: Graph, r: int) -> Optional[Wall]:
     return W
 
 
-def _ranks(tarcs, tcoord, corners, amap) -> List[Tuple]:
+def _ranks(T: _Template, amap) -> List[Tuple]:
     """Per template arc: the inner vertices of its host arc under the
     skeleton embedding amap, and which inner template vertices are
     corners."""
-    return [(amap[t][1:-1], tuple(tcoord[v] in corners for v in t[1:-1]))
-            for t in tarcs]
+    S = T.skeleton
+    return [(amap[t][1:-1], tuple(S.coord[v] in T.corners for v in t[1:-1]))
+            for t in S.arcs]
 
 
 def _admits(ranks, pc: PegsCorners) -> bool:
@@ -683,14 +757,12 @@ def _admits(ranks, pc: PegsCorners) -> bool:
 
 def admits_pegs_corners(W: Wall, pc: PegsCorners) -> bool:
     """Whether some elementary presentation of W has pegs and corners pc."""
-    r = W.height
-    tb, tarcs, tcoord = _template_skeleton(r)
-    corners = set(temp_corners(r))
-    if (len(pc.pegs), len(pc.corners)) != (len(temp_pegs(r)), len(corners)):
+    T = _template(W.height)
+    if (len(pc.pegs), len(pc.corners)) != (len(T.pegs), len(T.corners)):
         return False
-    return any(_admits(_ranks(tarcs, tcoord, corners, amap), pc)
+    return any(_admits(_ranks(T, amap), pc)
                for _vmap, amap in _skeleton_embeddings(
-                   tb, tarcs, *_suppressed(W.graph)))
+                   T.skeleton, *_suppressed(W.graph)))
 
 
 def choices_of_pegs_corners(W: Wall, limit: int = 400):
@@ -704,11 +776,11 @@ def choices_of_pegs_corners(W: Wall, limit: int = 400):
     if W.graph.n > limit:
         raise CapacityError("pegs/corners enumeration over desk limit",
                             witness=W.graph.n)
-    tb, tarcs, tcoord = _template_skeleton(W.height)
-    corners = set(temp_corners(W.height))
+    T = _template(W.height)
     seen = []
-    for _vmap, amap in _skeleton_embeddings(tb, tarcs, *_suppressed(W.graph)):
-        ranks = _ranks(tarcs, tcoord, corners, amap)
+    for _vmap, amap in _skeleton_embeddings(T.skeleton,
+                                            *_suppressed(W.graph)):
+        ranks = _ranks(T, amap)
         # per template arc, spread its inner template vertices over the
         # host arc's inner vertices, order preserving
         for combo in itertools.product(*(

@@ -283,6 +283,12 @@ def test_validation_memo_ignores_recycled_graph_ids():
             break
         held.append(H)
     assert any("missing from G" in p for p in validate_flatness(H, F))
+    # with two wall edges gone, the one named is the lesser by ekey
+    lesser, greater = F.wall.graph.edges[3], F.wall.graph.edges[7]
+    H2 = Graph(vertices, [e for e in edges + [dropped]
+                          if e not in (lesser, greater)])
+    missing = [p for p in validate_flatness(H2, F) if "missing from G" in p]
+    assert missing == [f"wall edge {lesser[0]}-{lesser[1]} missing from G"]
 
 
 def test_cycle_input_errors():

@@ -327,6 +327,24 @@ def test_driver_flat_outcome(big):
     assert oracle.calls == [(G.n, 33)]
 
 
+def test_driver_with_nothing_to_avoid_takes_no_influence(big, monkeypatch):
+    # with L empty, block (0, 0) avoids it without its influence
+    G, F = big
+    calls = []
+    influence_union = flatwall.pipeline.influence_union
+
+    def counted(*args):
+        calls.append(args)
+        return influence_union(*args)
+
+    monkeypatch.setattr(flatwall.pipeline, "influence_union", counted)
+    out = flat_wall_driver(G, 3, 2, ScriptedOracle([flat_answer(F)]), UP,
+                           ScriptedTreewidthDecider(["high", "default"], UP))
+    assert out.kind == "flat-wall"
+    assert "avoiding subwall block (0,0)" in " ".join(out.notes)
+    assert calls == []
+
+
 def test_driver_outcome_is_validated_against_the_callers_graph(big):
     G, F = big
     out = flat_wall_driver(G, 3, 2, ScriptedOracle([flat_answer(F)]), UP,

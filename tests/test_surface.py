@@ -26,6 +26,9 @@ KEPT = {
     "choices_of_pegs_corners": "the choice of pegs and corners",
     "is_well_aligned": "well-alignment of a regular flatness pair",
     "stretching": "the stretching of a flap path",
+    "temp_degree": "the elementary r-wall, its degrees",
+    "temp_edges": "the elementary r-wall, its edges",
+    "temp_vertices": "the elementary r-wall, its vertices",
     "w_bullet": "the graph W-bullet of a leveling",
     "write_bundle": "the bundle format, the partner of read_bundle",
 }
