@@ -39,6 +39,9 @@ class FlatnessPair:
     derived from them is computed once and kept in `_memo`:
 
     - "owner": the cell owning each compass edge (`edge_owner`);
+    - "untidy at": the untidy vertices of each cell tested so far
+      (`_untidy_at`), which `classify_cells`, `untidy_cells` and the
+      untidy repair share, so no cell is tested twice;
     - "untidy": the untidy cells (`untidy_cells`);
     - ("classes", cycle edges): the classes of the cells a cycle runs
       through or encloses (`classify_cells`); each map covers the cycle's
@@ -115,12 +118,23 @@ def untidy_vertices(F: FlatnessPair, cid) -> Set:
         1 for u in g.neighbors(v) if norm_edge(u, v) in wedges) >= 2}
 
 
+def _untidy_at(F: FlatnessPair, cid) -> Set:
+    """`untidy_vertices(F, cid)`, tested once per pair and cell."""
+    table = F._memo.get("untidy at")
+    if table is None:
+        table = F._memo["untidy at"] = {}
+    got = table.get(cid)
+    if got is None:
+        got = table[cid] = untidy_vertices(F, cid)
+    return got
+
+
 def untidy_cells(F: FlatnessPair) -> FrozenSet:
     """Cells hiding two wall edges at one ground vertex of their boundary."""
     got = F._memo.get("untidy")
     if got is None:
         got = F._memo["untidy"] = frozenset(
-            cid for cid in F.rendition.sigma if untidy_vertices(F, cid))
+            cid for cid in F.rendition.sigma if _untidy_at(F, cid))
     return got
 
 
@@ -244,7 +258,8 @@ def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
 
     A cell of the painting that is missing from the map is external. So
     the map holds C's influence and nothing else, and it costs the inside
-    of C, not the whole painting (`painting.trace_normal_cycle`).
+    of C, not the whole painting (`painting.trace_normal_cycle`): only the
+    cells in the map are tested for tidiness.
     """
     if isinstance(C, Wall):
         cyc, edges = C.perimeter, C.perimeter_edges
@@ -259,18 +274,17 @@ def classify_cells(F: FlatnessPair, C: Cycle) -> Dict[object, CellClass]:
 
     runs, flags, _ = cycle_runs(F, cyc)
     trace = trace_normal_cycle(F.rendition.painting, runs, flags)
-    untidy = untidy_cells(F)
     out: Dict[object, CellClass] = {}
     for (p, cid, q), flag, side in zip(runs, trace.arc_flags, trace.run_sides):
         if side is None or side:
             kind = "inner-perimetric"
         else:
             kind = "outer-perimetric"
-        marginal = (kind == "outer-perimetric" and not flag
-                    and cid not in untidy)
-        out[cid] = CellClass(kind, marginal, cid in untidy)
+        untidy = bool(_untidy_at(F, cid))
+        marginal = kind == "outer-perimetric" and not flag and not untidy
+        out[cid] = CellClass(kind, marginal, untidy)
     for cid in trace.inside_cells:
-        out[cid] = CellClass("internal", False, cid in untidy)
+        out[cid] = CellClass("internal", False, bool(_untidy_at(F, cid)))
     F._memo[key] = out
     return out
 
@@ -364,10 +378,10 @@ class _Builder:
         return "external" if cc is None else cc.kind
 
     def face_with_nodes(self, nodes: FrozenSet):
-        from .painting import _face_node_sequence, trace_faces
+        from .painting import trace_faces
         P = self.painting()
         for face in trace_faces(P):
-            if frozenset(_face_node_sequence(face)) == nodes:
+            if frozenset(_face_nodes(face)) == nodes:
                 return face
         raise InternalError("no face spans the requested nodes",
                             witness=sorted(nodes, key=vkey))
@@ -439,6 +453,11 @@ class _Builder:
         raise InternalError("cell replacement failed", witness=cid)
 
 
+def _face_nodes(face) -> List:
+    """The nodes a face of `trace_faces` passes through, in order."""
+    return [u[1] for u, _ in face if u[0] == "n"]
+
+
 def _edge_cid(b: _Builder, u: str, v: str) -> str:
     for cid, bd in b.cells.items():
         if set(bd) == {u, v} and len(bd) == 2:
@@ -492,7 +511,7 @@ def _ckey(a, b):
 def _plant_untidy2(b: _Builder, a_coord, b_coord):
     """Mid-segment untidy cell: the middle path vertex becomes a ground
     vertex without being a 3-branch, so a reroute drops it from the wall."""
-    from .painting import _face_node_sequence, trace_faces
+    from .painting import trace_faces
     W = b.W
     path = W.seg_paths[_ckey(a_coord, b_coord)]
     A, B = path[0], path[-1]
@@ -507,7 +526,7 @@ def _plant_untidy2(b: _Builder, a_coord, b_coord):
     b.replace_with_cell([e], cid, (A, z, B), sigma)
     # escape route so the new ground vertex reaches the boundary disjointly
     for face in trace_faces(b.painting()):
-        seq = _face_node_sequence(face)
+        seq = _face_nodes(face)
         if z not in seq:
             continue
         others = [n for n in seq if n not in (z, A, B) and b.rot.get(n)]

@@ -3,51 +3,38 @@
 The embedding is an incidence-graph rotation system: one vertex per node,
 one per cell, a spoke per (cell, boundary node) incidence, and for every
 node the cyclic order of its incident cells as seen in the disk. Faces come
-from dart tracing; the declared outer boundary must appear on a traced face.
+from dart tracing on integer ids (`_Incidence`, built once per painting);
+the declared outer boundary must appear on a traced face. `trace_faces` and
+`outer_face` hand faces out as pairs of ("n", node) / ("c", cell) vertices.
 
 A normal cycle is routed through cell-vertices along spokes, so the curve
 is a cycle of the incidence graph itself: two faces are in the same region
 of the disk minus the curve iff connected across edges that are not on the
-curve. The inside of the curve is found by a flood fill over faces that
-starts at the curve and stops once the inside is used up
-(`trace_normal_cycle`), so it never visits more than about twice the
-inside.
+curve. Its inside is found by a flood fill over faces that starts at the
+curve and stops once the inside is used up (`trace_normal_cycle`).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError, UnsupportedError
 
 NV = Tuple[str, object]      # ("n", node) or ("c", cell)
-
-
 _UNSET = object()           # a memo not computed yet, where None is a value
-
-
-def _n(x) -> NV:
-    return ("n", x)
-
-
-def _c(x) -> NV:
-    return ("c", x)
 
 
 class Painting:
     """A disk embedding of a hypergraph with hyperedges of size <= 3.
 
-    Immutable after construction: nodes, cells, rotations and the outer
-    boundary are never changed. So the tables derived from them are built
-    once, on first use, and kept on the object: the incidence rotation
-    system (`rot`), the faces (`trace_faces`), the face of every dart
-    (`_face_index`), the connected components (`_components`), the outer
-    face (`outer_face`), the spokes with the faces on either side
-    (`_spokes`) and what `validate_painting` found (`_problems`).
+    Immutable after construction, so what is derived from it is built once,
+    on first use, and kept: the integer incidence table with its components,
+    faces and face of every dart (`_incidence`, `_traced`), the outer face
+    (`_outer_face_id`) and what `validate_painting` found (`_problems`).
     """
 
-    __slots__ = ("nodes", "cells", "rotations", "outer", "_rot", "_faces",
-                 "_face_of", "_comps", "_outer_face", "_spoke_faces",
+    __slots__ = ("nodes", "cells", "rotations", "outer", "_inc", "_outer",
                  "_problems")
 
     def __init__(self, nodes, cells: Dict, rotations: Dict, outer: Sequence):
@@ -55,162 +42,182 @@ class Painting:
         self.cells = {cid: tuple(b) for cid, b in cells.items()}
         self.rotations = {n: tuple(r) for n, r in rotations.items()}
         self.outer = tuple(outer)
-        self._rot: Optional[Dict[NV, Tuple[NV, ...]]] = None
-        self._faces = None
-        self._face_of = None
-        self._comps = None
-        self._outer_face = _UNSET
-        self._spoke_faces = None
+        self._inc: Optional[_Incidence] = None
+        self._outer = _UNSET
         self._problems: Optional[Tuple[str, ...]] = None
-
-    def boundary(self, cid) -> Tuple:
-        return self.cells[cid]
-
-    def rot(self) -> Dict[NV, Tuple[NV, ...]]:
-        if self._rot is None:
-            r: Dict[NV, Tuple[NV, ...]] = {}
-            for n in self.nodes:
-                r[_n(n)] = tuple(_c(cid) for cid in self.rotations.get(n, ()))
-            for cid, b in self.cells.items():
-                r[_c(cid)] = tuple(_n(x) for x in b)
-            self._rot = r
-        return self._rot
 
 
 # -- face tracing ----------------------------------------------------------
 
 
+class _Incidence:
+    """The incidence graph of a painting on integer ids.
+
+    Ids: the nodes 0..n-1 in `Painting.nodes` order, then the cells in
+    `Painting.cells` order, then any name a rotation or boundary lists that
+    no node or cell has (with an empty rotation); `keys[v]` is ("n", x) or
+    ("c", cid). The rotation of v is `head[off[v]:off[v + 1]]`; d there is
+    the dart `tail[d] = v` -> `head[d]`. `comps`: the ids of each connected
+    component, by least id (`comp_of`: the component of each id). `trace`
+    adds each dart's reverse (`rev`), the next-dart permutation (`nxt`),
+    the faces as lists of darts, numbered and started at their least dart,
+    and the face of each dart (`face_of`).
+    """
+
+    __slots__ = ("n", "keys", "node_id", "cell_id", "off", "head", "tail",
+                 "comps", "comp_of", "rev", "nxt", "faces", "face_of")
+
+    def __init__(self, P: Painting):
+        nodes = list(dict.fromkeys(P.nodes))
+        n = self.n = len(nodes)
+        self.node_id = {x: i for i, x in enumerate(nodes)}
+        self.cell_id = {c: n + j for j, c in enumerate(P.cells)}
+        self.keys = [("n", x) for x in nodes] + [("c", c) for c in P.cells]
+        head: List[int] = []
+        off = [0]
+        for x in nodes:
+            head += self._ids(P.rotations.get(x, ()), self.cell_id, "c")
+            off.append(len(head))
+        for b in P.cells.values():
+            head += self._ids(b, self.node_id, "n")
+            off.append(len(head))
+        off += [len(head)] * (len(self.keys) + 1 - len(off))
+        self.off, self.head = off, head
+        self.tail = [v for v in range(len(off) - 1)
+                     for _ in range(off[v + 1] - off[v])]
+        comp_of = [-1] * (len(off) - 1)
+        self.comps, self.comp_of = [], comp_of
+        for v in range(len(comp_of)):
+            if comp_of[v] < 0:
+                comp_of[v] = len(self.comps)
+                comp = [v]
+                for x in comp:              # grows while it is read
+                    for y in head[off[x]:off[x + 1]]:
+                        if comp_of[y] < 0:
+                            comp_of[y] = len(self.comps)
+                            comp.append(y)
+                self.comps.append(comp)
+        self.rev = self.nxt = self.faces = self.face_of = None
+
+    def _ids(self, names, known: Dict, kind: str) -> List[int]:
+        try:
+            return [known[x] for x in names]
+        except KeyError:            # a name of no node or cell: a new vertex
+            for x in names:
+                if x not in known:
+                    known[x] = len(self.keys)
+                    self.keys.append((kind, x))
+            return [known[x] for x in names]
+
+    def trace(self) -> None:
+        """Pair each dart with its reverse, then follow the next-dart
+        permutation: from u -> v on to v -> w, w the entry before u in the
+        rotation of v. A rotation system that is not one raises at its
+        first fault in vertex and dart order."""
+        off, head, tail = self.off, self.head, self.tail
+        rev = [-1] * len(head)
+        try:
+            for d in range(off[self.n]):         # node -> cell darts
+                c = head[d]
+                e = head.index(tail[d], off[c], off[c + 1])
+                if rev[e] >= 0:
+                    raise ValueError
+                rev[d], rev[e] = e, d
+            if -1 in rev:
+                raise ValueError
+        except ValueError:
+            self._fault()
+        nxt = [e - 1 if e > off[v] else off[v + 1] - 1
+               for v, e in zip(head, rev)]
+        face_of = [-1] * len(head)
+        faces: List[List[int]] = []
+        for s in range(len(head)):
+            if face_of[s] < 0:
+                face, d = [], s
+                while face_of[d] < 0:
+                    face_of[d] = len(faces)
+                    face.append(d)
+                    d = nxt[d]
+                faces.append(face)
+        self.rev, self.nxt, self.face_of = rev, nxt, face_of
+        self.faces = faces or [[]]
+
+    def _fault(self) -> None:
+        off, head, keys = self.off, self.head, self.keys
+        rots = [head[off[v]:off[v + 1]] for v in range(len(off) - 1)]
+        for v, r in enumerate(rots):
+            if len(set(r)) != len(r):
+                raise InputError("duplicate incidence in rotation",
+                                 witness=keys[v])
+        u, v = next((u, v) for u, v in zip(self.tail, head)
+                    if u not in rots[v])
+        raise InputError("rotation is not symmetric",
+                         witness=[keys[u], keys[v]])
+
+    def darts(self, face: List[int]) -> Tuple[Tuple[NV, NV], ...]:
+        keys, head, tail = self.keys, self.head, self.tail
+        return tuple((keys[tail[d]], keys[head[d]]) for d in face)
+
+
+def _incidence(P: Painting) -> _Incidence:
+    if P._inc is None:
+        P._inc = _Incidence(P)
+    return P._inc
+
+
+def _traced(P: Painting) -> _Incidence:
+    """`_incidence(P)` with its faces traced; raises `InputError` when the
+    rotations are not a rotation system."""
+    if _incidence(P).faces is None:
+        P._inc.trace()
+    return P._inc
+
+
 def trace_faces(P: Painting) -> List[Tuple[Tuple[NV, NV], ...]]:
-    """Orbits of darts under the next-dart permutation; one list per face."""
-    if P._faces is not None:
-        return P._faces
-    rot = P.rot()
-    index: Dict[NV, Dict[NV, int]] = {}
-    for v, ns in rot.items():
-        index[v] = {}
-        for i, w in enumerate(ns):
-            if w in index[v]:
-                raise InputError("duplicate incidence in rotation", witness=v)
-            index[v][w] = i
-    darts = [(u, v) for u, ns in rot.items() for v in ns]
-    for u, v in darts:
-        if u not in index.get(v, {}):
-            raise InputError("rotation is not symmetric", witness=[u, v])
-    pending = set(darts)
-    faces = []
-    for start in darts:
-        if start not in pending:
-            continue
-        face = []
-        d = start
-        while d in pending:
-            pending.remove(d)
-            face.append(d)
-            u, v = d
-            ns = rot[v]
-            w = ns[(index[v][u] - 1) % len(ns)]
-            d = (v, w)
-        faces.append(tuple(face))
-    if not faces:
-        faces = [()]
-    P._faces = faces
-    return faces
+    """Orbits of darts under the next-dart permutation; one tuple per face,
+    of (("n", x) or ("c", cid)) pairs."""
+    t = _traced(P)
+    return [t.darts(f) for f in t.faces]
 
 
-def _face_index(P: Painting) -> Dict[Tuple[NV, NV], int]:
-    """The index in `trace_faces(P)` of the face holding each dart."""
-    if P._face_of is None:
-        P._face_of = {d: i for i, f in enumerate(trace_faces(P)) for d in f}
-    return P._face_of
-
-
-def _spokes(P: Painting) -> Dict[object, Tuple[Tuple[object, int, int], ...]]:
-    """The spokes of each cell in boundary order, as (node, face of the dart
-    node -> cell, face of the dart cell -> node)."""
-    if P._spoke_faces is None:
-        face_of = _face_index(P)
-        P._spoke_faces = {
-            cid: tuple((x, face_of[(_n(x), _c(cid))],
-                        face_of[(_c(cid), _n(x))]) for x in b)
-            for cid, b in P.cells.items()}
-    return P._spoke_faces
-
-
-def _face_node_sequence(face) -> List:
-    return [u[1] for u, _ in face if u[0] == "n"]
-
-
-def _cyclic_subsequence(needle: Sequence, hay: Sequence) -> bool:
+def _cyclic_subsequence(needle: Sequence, hay: List) -> bool:
+    """Whether some rotation of hay holds needle as a subsequence."""
     if not needle:
         return True
-    if not hay:
-        return False
-    doubled = list(hay) + list(hay)
     for start, h in enumerate(hay):
-        if h != needle[0]:
-            continue
-        i = start
-        ok = True
-        for want in needle:
-            while i < start + len(hay) and doubled[i] != want:
-                i += 1
-            if i >= start + len(hay):
-                ok = False
-                break
-            i += 1
-        if ok:
-            return True
+        if h == needle[0]:
+            rest = iter(hay[start:] + hay[:start])
+            if all(want in rest for want in needle):
+                return True
     return False
-
-
-def _components(P: Painting) -> List[FrozenSet[NV]]:
-    if P._comps is not None:
-        return P._comps
-    rot = P.rot()
-    seen = set()
-    comps = []
-    for v in rot:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in rot[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    P._comps = comps
-    return comps
 
 
 def outer_face(P: Painting):
     """The traced face showing the declared outer nodes in order, if any."""
-    if P._outer_face is _UNSET:
-        P._outer_face = _find_outer_face(P)
-    return P._outer_face
+    f = _outer_face_id(P)
+    return None if f is None else _traced(P).darts(_traced(P).faces[f])
 
 
-def _find_outer_face(P: Painting):
-    faces = trace_faces(P)
-    non_isolated = [x for x in P.outer if P.rotations.get(x)]
-    # mirror embeddings describe the same disk, so a reversed outer order is
-    # accepted too, but only when no face matches the declared sense
-    for needle in (non_isolated, list(reversed(non_isolated))):
-        best = None
-        for face in faces:
-            seq = _face_node_sequence(face)
-            if needle and not set(needle) <= set(seq):
-                continue
-            if _cyclic_subsequence(needle, seq):
-                if best is None or len(face) > len(best):
-                    best = face
-        if best is not None:
-            return best
-    return None
+def _outer_face_id(P: Painting) -> Optional[int]:
+    if P._outer is _UNSET:
+        t = _traced(P)
+        ids = [t.node_id.get(x, -1) for x in P.outer if P.rotations.get(x)]
+        P._outer = None
+        # mirror embeddings describe the same disk, so a reversed outer
+        # order is accepted too, but only when no face matches the declared
+        # sense. A face showing the needle passes through its first node, so
+        # only the faces of that node's darts are tried (none for -1, a name
+        # of no node), in face order, and the first longest one wins.
+        for needle in (ids, ids[::-1]):
+            tries = (sorted({t.face_of[d] for d in range(
+                t.off[needle[0]], t.off[needle[0] + 1])}) if needle
+                else range(len(t.faces)))
+            fits = [f for f in tries if _cyclic_subsequence(
+                needle, [t.tail[d] for d in t.faces[f] if t.tail[d] < t.n])]
+            if fits:
+                P._outer = max(fits, key=lambda f: len(t.faces[f]))
+                break
+    return P._outer
 
 
 def validate_painting(P: Painting) -> List[str]:
@@ -237,7 +244,11 @@ def _painting_problems(P: Painting) -> List[str]:
             else:
                 incident[x].append(cid)
     for x, cids in incident.items():
-        have = sorted(P.rotations.get(x, ()), key=str)
+        have = P.rotations.get(x, ())
+        listed = set(have)
+        if len(listed) == len(have) == len(cids) and listed == set(cids):
+            continue
+        have = sorted(have, key=str)
         if sorted(cids, key=str) != have:
             problems.append(f"node {x}: rotation {have} does not list its cells {sorted(cids, key=str)}")
     for x in P.rotations:
@@ -247,19 +258,16 @@ def _painting_problems(P: Painting) -> List[str]:
         return problems
 
     try:
-        faces = trace_faces(P)
+        t = _traced(P)
     except InputError as e:
         return [f"rotation structure: {e}"]
 
     # planarity: Euler relation per connected component
-    rot = P.rot()
-    for comp in _components(P):
-        V = len(comp)
-        E = sum(len(rot[v]) for v in comp) // 2
-        if E == 0:
-            continue
-        F = sum(1 for f in faces if f and f[0][0] in comp)
-        if V - E + F != 2:
+    faces_in = Counter(t.comp_of[t.tail[f[0]]] for f in t.faces if f)
+    for k, comp in enumerate(t.comps):
+        V, F = len(comp), faces_in[k]
+        E = sum(t.off[v + 1] - t.off[v] for v in comp) // 2
+        if E and V - E + F != 2:
             problems.append(
                 f"not planar: component with V={V} E={E} F={F} fails Euler")
 
@@ -269,7 +277,7 @@ def _painting_problems(P: Painting) -> List[str]:
     for x in P.outer:
         if x not in nodeset:
             problems.append(f"outer boundary names unknown node {x}")
-    if not problems and P.outer and outer_face(P) is None:
+    if not problems and P.outer and _outer_face_id(P) is None:
         problems.append("outer boundary order not realized by any face")
     return problems
 
@@ -279,13 +287,11 @@ def _painting_problems(P: Painting) -> List[str]:
 
 @dataclass(frozen=True)
 class NormalCycleTrace:
-    """A normal cycle and the cells it encloses.
-
-    The cells of the painting fall in three classes: the run cells, which
-    the curve passes through; the inside cells, which lie in a region of
-    the disk minus the curve other than the one holding the outer face;
-    and every other cell, which is outside. Only the first two are listed,
-    so a trace costs the inside of the curve, not the whole painting.
+    """A normal cycle and the cells it encloses: the run cells, which the
+    curve passes through, and the inside cells, which lie in a region of
+    the disk minus the curve other than the one holding the outer face.
+    Every other cell is outside and not listed, so a trace costs the inside
+    of the curve, not the whole painting.
     """
 
     runs: Tuple[Tuple[object, object, object], ...]   # (entry, cell, exit)
@@ -306,32 +312,24 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple],
     node. Two faces lie in one region of the disk minus the curve iff a
     path of faces joins them across spokes off the curve.
 
-    The inside is found by a flood fill over faces that starts at the
-    curve. The faces of the curve's darts (p -> c and c -> q for a run
-    (p, c, q)) seed one side, those of the reversed darts the other. The
-    sides grow in lockstep, one face each in turn, and leave a face through
-    every off-curve cell on it: such a cell has no spoke on the curve, so
-    all its corner faces join the side at once. A side that reaches the
-    outer face is the outside and stops growing; the fill ends when the
-    other side is used up, and the cells it reached are the inside.
+    The flood fill seeds one side with the faces of the curve's darts
+    (p -> c and c -> q for a run (p, c, q)) and the other with those of the
+    reversed darts. The sides grow in turn, one face each, and leave a face
+    through every off-curve cell on it, all of whose corner faces join the
+    side at once. A side that reaches the outer face is the outside and
+    stops; the fill ends when the other side is used up: the inside.
 
     Why this is exact on a plane painting (one `validate_painting`
-    accepts):
-    - the curve is simple: its entry nodes and cells are distinct, and a
-      flagged third node is no other node of the curve (checked below), so
-      the spoke to it hangs off the curve into one side;
-    - so the disk minus the curve has two regions, and the faces on one
-      side of the curve's darts lie in one of them, because face tracing
-      keeps every face on the same side of its darts;
-    - every corner face of a run cell is the face of a curve dart or of its
-      reverse, so it is a seed, and no spoke of a run cell needs crossing;
-    - a side used up before it reaches the outer face is a whole region
-      other than the outer one: the inside, the other side being the
-      outside. A side that reaches the outer face is the outside, and the
-      other side, once used up, is the inside.
-    So the fill visits at most twice the inside faces plus those next to
-    the curve. A face reached from both sides means that P is not plane,
-    and raises `InternalError`.
+    accepts): the curve is simple (its entry nodes and cells are distinct,
+    and a flagged third node is no other node of it, checked below), so
+    the disk minus the curve has two regions, and the faces on one side of
+    the curve's darts lie in one of them, as face tracing keeps a face on
+    one side of its darts; every corner face of a run cell is the face of
+    a curve dart or of its reverse, so it is a seed; and a side used up
+    before it reaches the outer face is a whole region other than the
+    outer one. So the fill visits at most twice the inside faces plus those
+    next to the curve. A face reached from both sides means that P is not
+    plane, and raises `InternalError`.
     """
     runs = [tuple(r) for r in runs]
     flags = list(z_rule)
@@ -339,7 +337,7 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple],
         raise InputError("a normal cycle needs at least two runs")
     if len(flags) != len(runs):
         raise InputError("one arc flag per run expected")
-    if len(_components(P)) > 1:
+    if len(_incidence(P).comps) > 1:
         raise UnsupportedError("normal cycles on disconnected paintings")
 
     run_cells = [c for _, c, _ in runs]
@@ -374,27 +372,29 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple],
                                  "closed curve", witness=t)
             on_curve.add(t)
 
-    outer = outer_face(P)
-    if outer is None:
+    outer_f = _outer_face_id(P)
+    if outer_f is None:
         raise InputError("painting has no face matching its outer boundary")
 
     # the seeds of both sides, and per run the corner face that tells which
     # side carries the cell's body: for an unflagged third node the corner
     # at its spoke, for a flagged one the corner between the two entry
     # spokes that avoids it
-    spokes = _spokes(P)
+    inc = _traced(P)
+    faces, tail, off, face_of, rev, n = (inc.faces, inc.tail, inc.off,
+                                         inc.face_of, inc.rev, inc.n)
     seeds: Tuple[List[int], List[int]] = ([], [])
     body_faces: List[Optional[int]] = []
     for (p, c, q), t, flag in zip(runs, third, flags):
-        b = P.cells[c]
-        sp, sq = spokes[c][b.index(p)], spokes[c][b.index(q)]
-        seeds[0].extend((sp[1], sq[2]))
-        seeds[1].extend((sp[2], sq[1]))
+        b, d0 = P.cells[c], off[inc.cell_id[c]]   # d0 + i: dart c -> b[i]
+        dp, dq = d0 + b.index(p), d0 + b.index(q)
+        seeds[0].extend((face_of[rev[dp]], face_of[dq]))
+        seeds[1].extend((face_of[dp], face_of[rev[dq]]))
         if t is None:
             body_faces.append(None)
             continue
         x = (p if b[(b.index(p) + 1) % 3] == q else q) if flag else t
-        body_faces.append(spokes[c][b.index(x)][2])
+        body_faces.append(face_of[d0 + b.index(x)])
 
     owner: Dict[int, int] = {}          # face -> the side that reached it
     queues: Tuple[List[int], List[int]] = ([], [])
@@ -408,10 +408,8 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple],
                 raise InternalError("curve does not separate the painting",
                                     witness=runs)
 
-    faces = trace_faces(P)
-    outer_f = _face_index(P)[outer[0]]
-    run_set = set(run_cells)
-    reached: Dict[object, int] = {}     # off-curve cell -> its side
+    run_set = {inc.cell_id[c] for c in run_cells}
+    reached: Dict[int, int] = {}        # off-curve cell id -> its side
     heads = [0, 0]
     s = 0
     while True:
@@ -422,22 +420,23 @@ def trace_normal_cycle(P: Painting, runs: Sequence[Tuple],
             break                       # side s is used up: the inside
         f = queue[heads[s]]
         heads[s] += 1
-        for u, _ in faces[f]:
-            if u[0] != "c" or u[1] in run_set or u[1] in reached:
+        for d in faces[f]:
+            u = tail[d]
+            if u < n or u in run_set or u in reached:
                 continue
-            cid = u[1]
-            reached[cid] = s
-            for _, _, g in spokes[cid]:
+            reached[u] = s
+            for g in face_of[off[u]:off[u + 1]]:   # the cell's corners
                 o = owner.get(g)
                 if o is None:
                     owner[g] = s
                     queue.append(g)
                 elif o != s:
                     raise InternalError("cell off the curve spans two "
-                                        "regions", witness=cid)
+                                        "regions", witness=inc.keys[u][1])
         s = 1 - s
 
-    inside = frozenset(cid for cid, side in reached.items() if side == s)
+    inside = frozenset(inc.keys[u][1] for u, side in reached.items()
+                       if side == s)
     sides = tuple(None if f is None else owner.get(f) == s
                   for f in body_faces)
     return NormalCycleTrace(tuple(runs), tuple(flags), inside,

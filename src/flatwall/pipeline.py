@@ -22,7 +22,7 @@ from .config import Params
 from .errors import CapacityError, InputError, InternalError
 from .flatness import (FlatnessPair, influence_union, is_regular,
                        validate_flatness)
-from .graph import (Graph, TreeDecomposition, exact_treewidth,
+from .graph import (Graph, TreeDecomposition, ekey, exact_treewidth,
                     min_fill_decomposition, minor_model, norm_edge, vkey)
 from .tilt import compute_tilt, regularize
 from .wall import Wall, check_height, is_tilt, recognize_wall, subwall
@@ -153,10 +153,10 @@ def find_wall(G: Graph, r: int, t: int,
 
     W = recognize_wall(_prune_leaves(G), r)
     if W is not None:
-        for u, v in W.graph.edges:
-            if not G.has_edge(u, v):
-                raise InternalError("found wall leaves the graph",
-                                    witness=[u, v])
+        missing = W.graph.edge_set - G.edge_set
+        if missing:
+            u, v = min(missing, key=ekey)
+            raise InternalError("found wall leaves the graph", witness=[u, v])
         return FindWallResult("wall", t, wall=W)
     notes = ["wall search limited to pruned subdivisions at this size"]
 
@@ -301,7 +301,16 @@ def _check_oracle_answer(G: Graph, r: int, t: int, W: Wall,
         raise InternalError("oracle flatness pair invalid", witness=bad)
     if ans.subwall_rows is None or ans.subwall_cols is None:
         raise InternalError("oracle answer names no source subwall")
-    src = subwall(W, ans.subwall_rows, ans.subwall_cols)
+    rows, cols = sorted(set(ans.subwall_rows)), sorted(set(ans.subwall_cols))
+    if rows == cols == list(range(1, W.height + 1)) and not W.validate():
+        # every row and column of a valid W: the subwall built from them
+        # has W's graph (the union of W's rows and vertical paths) and W's
+        # perimeter cycle, so W's interior, which is all is_tilt reads. It
+        # need not equal W, as its template's degree-2 vertices may sit
+        # elsewhere on that cycle; comparing W itself spares rebuilding it
+        src = W
+    else:
+        src = subwall(W, ans.subwall_rows, ans.subwall_cols)
     if not is_tilt(src, ans.pair.wall):
         raise InternalError("oracle pair is not a tilt of the named subwall")
     return GA

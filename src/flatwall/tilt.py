@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InternalError
-from .flatness import (FlatnessPair, classify_cells, cycle_runs, influence,
-                       is_regular, untidy_cells, untidy_vertices,
-                       validate_flatness)
+from .flatness import (FlatnessPair, _untidy_at, classify_cells, cycle_runs,
+                       influence, is_regular, untidy_cells, validate_flatness)
 from .graph import Graph, max_vertex_disjoint_paths, norm_edge, vkey
 from .rendition import Rendition, _Work, flap_union
 from .wall import PegsCorners, Wall, _template, fresh_names, is_tilt
@@ -367,7 +366,9 @@ def validate_tilt(G: Graph, F: FlatnessPair, Wp: Wall,
 
 def compute_tilt(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
     res = tilt_main(G, F, Wp)
-    if is_regular(F) and not is_regular(res.pair):
+    # the source is checked only when the tilt came out irregular, so a
+    # regular tilt never pays for a scan of the whole source pair
+    if not is_regular(res.pair) and is_regular(F):
         raise InternalError("tilt of a regular pair came out irregular")
     return res
 
@@ -401,7 +402,7 @@ def _repair_one(G: Graph, F: FlatnessPair, cid) -> FlatnessPair:
         raise InputError("untidy cell without a 3-point boundary",
                          witness=cid)
     W = F.wall
-    zs = untidy_vertices(F, cid)
+    zs = _untidy_at(F, cid)
     if len(zs) != 1:
         raise InputError("cell is not untidy at a unique vertex", witness=cid)
     (z,) = zs

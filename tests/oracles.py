@@ -12,6 +12,11 @@ are each kept as the reference for a faster library method:
 - `trace_by_union_find`, the normal-cycle trace that unites the faces
   across every open spoke of the painting, for the flood fill that starts
   at the curve;
+- the tuple-dart painting tracer (`rot`, `trace_faces_by_tuples`,
+  `components_by_tuples`, `outer_face_by_tuples`,
+  `painting_problems_by_tuples`), which keys every vertex and dart of the
+  incidence graph by ("n", node) / ("c", cell) tuples, for the painting
+  kernel that numbers them;
 - `components_by_scan` and `candidates_by_scan`, the per-component scans
   of every edge of W-bullet and every cell of the rendition, for the
   leveling search that reads adjacency and tables built once per pair.
@@ -185,9 +190,8 @@ def trace_by_union_find(P, runs, z_rule):
     library raised before it traced by flood fill, in the same order.
     """
     from flatwall.errors import InputError, InternalError, UnsupportedError
-    from flatwall.painting import (NormalCycleTrace, _components,
-                                   _face_index, _spokes, outer_face,
-                                   trace_faces)
+    from flatwall.painting import (NormalCycleTrace, _incidence,
+                                   _outer_face_id, _traced)
 
     runs = [tuple(r) for r in runs]
     flags = list(z_rule)
@@ -195,7 +199,7 @@ def trace_by_union_find(P, runs, z_rule):
         raise InputError("a normal cycle needs at least two runs")
     if len(flags) != len(runs):
         raise InputError("one arc flag per run expected")
-    if len(_components(P)) > 1:
+    if len(_incidence(P).comps) > 1:
         raise UnsupportedError("normal cycles on disconnected paintings")
     run_cells = [c for _, c, _ in runs]
     if len(set(run_cells)) != len(run_cells):
@@ -228,7 +232,7 @@ def trace_by_union_find(P, runs, z_rule):
             blocked.add((third[i], c))
             on_curve.add(third[i])
 
-    parent = list(range(len(trace_faces(P))))
+    parent = list(range(len(_traced(P).faces)))
 
     def find(x):
         while parent[x] != x:
@@ -236,16 +240,15 @@ def trace_by_union_find(P, runs, z_rule):
             x = parent[x]
         return x
 
-    spokes = _spokes(P)
+    spokes = spokes_by_table(P)
     for cid, ends in spokes.items():
         for x, a, b in ends:
             if (x, cid) not in blocked:
                 parent[find(b)] = find(a)
-    outer = outer_face(P)
+    outer = _outer_face_id(P)
     if outer is None:
         raise InputError("painting has no face matching its outer boundary")
-    face_of = _face_index(P)
-    outer_region = find(face_of[outer[0]])
+    outer_region = find(outer)
 
     inside = set()
     run_set = set(run_cells)
@@ -268,9 +271,25 @@ def trace_by_union_find(P, runs, z_rule):
         if flags[i]:
             b = P.cells[c]
             x = p if b[(b.index(p) + 1) % 3] == q else q
-        sides.append(find(face_of[(("c", c), ("n", x))]) != outer_region)
+        b = P.cells[c]
+        sides.append(find(spokes[c][b.index(x)][2]) != outer_region)
     return NormalCycleTrace(tuple(runs), tuple(flags), frozenset(inside),
                             frozenset(on_curve), tuple(sides))
+
+
+def spokes_by_table(P):
+    """The spokes of each cell of P in boundary order, as (node, face of the
+    dart node -> cell, face of the dart cell -> node), read off the
+    painting's incidence table."""
+    from flatwall.painting import _traced
+
+    t = _traced(P)
+    out = {}
+    for cid, b in P.cells.items():
+        d0 = t.off[t.cell_id[cid]]
+        out[cid] = tuple((x, t.face_of[t.rev[d0 + i]], t.face_of[d0 + i])
+                         for i, x in enumerate(b))
+    return out
 
 
 def components_by_scan(F, Wb: Graph):
@@ -338,3 +357,185 @@ def candidates_by_scan(F, comp):
             if cid not in own
             and set(comp.attachments) <= R.pi_boundary(cid)]
     return own + rest
+
+
+# -- the tuple-dart painting tracer ------------------------------------------
+
+
+def rot(P):
+    """The incidence rotation system of painting P, keyed by ("n", node)
+    and ("c", cell) tuples: nodes first, in `P.nodes` order, then cells."""
+    r = {}
+    for n in P.nodes:
+        r[("n", n)] = tuple(("c", cid) for cid in P.rotations.get(n, ()))
+    for cid, b in P.cells.items():
+        r[("c", cid)] = tuple(("n", x) for x in b)
+    return r
+
+
+def trace_faces_by_tuples(P):
+    """Orbits of darts under the next-dart permutation; one tuple per face."""
+    from flatwall.errors import InputError
+
+    r = rot(P)
+    index = {}
+    for v, ns in r.items():
+        index[v] = {}
+        for i, w in enumerate(ns):
+            if w in index[v]:
+                raise InputError("duplicate incidence in rotation", witness=v)
+            index[v][w] = i
+    darts = [(u, v) for u, ns in r.items() for v in ns]
+    for u, v in darts:
+        if u not in index.get(v, {}):
+            raise InputError("rotation is not symmetric", witness=[u, v])
+    pending = set(darts)
+    faces = []
+    for start in darts:
+        if start not in pending:
+            continue
+        face = []
+        d = start
+        while d in pending:
+            pending.remove(d)
+            face.append(d)
+            u, v = d
+            ns = r[v]
+            d = (v, ns[(index[v][u] - 1) % len(ns)])
+        faces.append(tuple(face))
+    return faces or [()]
+
+
+def components_by_tuples(P):
+    """The connected components of the incidence graph, as frozensets of
+    its tuple vertices, in order of their first vertex."""
+    r = rot(P)
+    seen = set()
+    comps = []
+    for v in r:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        seen.add(v)
+        while stack:
+            x = stack.pop()
+            for y in r[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def face_node_sequence(face):
+    """The nodes a tuple-dart face passes through, in order."""
+    return [u[1] for u, _ in face if u[0] == "n"]
+
+
+def _cyclic_subsequence(needle, hay) -> bool:
+    if not needle:
+        return True
+    if not hay:
+        return False
+    doubled = list(hay) + list(hay)
+    for start, h in enumerate(hay):
+        if h != needle[0]:
+            continue
+        i = start
+        ok = True
+        for want in needle:
+            while i < start + len(hay) and doubled[i] != want:
+                i += 1
+            if i >= start + len(hay):
+                ok = False
+                break
+            i += 1
+        if ok:
+            return True
+    return False
+
+
+def spokes_by_tuples(P):
+    """`spokes_by_table`, with faces numbered as `trace_faces_by_tuples`
+    lists them."""
+    face_of = {d: i for i, f in enumerate(trace_faces_by_tuples(P))
+               for d in f}
+    return {cid: tuple((x, face_of[(("n", x), ("c", cid))],
+                        face_of[(("c", cid), ("n", x))]) for x in b)
+            for cid, b in P.cells.items()}
+
+
+def outer_face_by_tuples(P):
+    """The longest traced face showing the declared outer nodes in cyclic
+    order, or failing that in reverse order; None if there is none."""
+    faces = trace_faces_by_tuples(P)
+    non_isolated = [x for x in P.outer if P.rotations.get(x)]
+    for needle in (non_isolated, list(reversed(non_isolated))):
+        best = None
+        for face in faces:
+            seq = face_node_sequence(face)
+            if needle and not set(needle) <= set(seq):
+                continue
+            if _cyclic_subsequence(needle, seq):
+                if best is None or len(face) > len(best):
+                    best = face
+        if best is not None:
+            return best
+    return None
+
+
+def painting_problems_by_tuples(P):
+    """`painting.validate_painting`, tracing on tuple darts."""
+    from flatwall.errors import InputError
+
+    problems = []
+    nodeset = set(P.nodes)
+    if len(nodeset) != len(P.nodes):
+        problems.append("duplicate node ids")
+    incident = {x: [] for x in P.nodes}
+    for cid, b in P.cells.items():
+        if not 1 <= len(b) <= 3:
+            problems.append(
+                f"cell {cid}: boundary size {len(b)} violates |c~| <= 3")
+            continue
+        if len(set(b)) != len(b):
+            problems.append(f"cell {cid}: repeated boundary node")
+        for x in b:
+            if x not in nodeset:
+                problems.append(f"cell {cid}: unknown node {x}")
+            else:
+                incident[x].append(cid)
+    for x, cids in incident.items():
+        have = sorted(P.rotations.get(x, ()), key=str)
+        if sorted(cids, key=str) != have:
+            problems.append(f"node {x}: rotation {have} does not list its "
+                            f"cells {sorted(cids, key=str)}")
+    for x in P.rotations:
+        if x not in nodeset:
+            problems.append(f"rotation for unknown node {x}")
+    if problems:
+        return problems
+    try:
+        faces = trace_faces_by_tuples(P)
+    except InputError as e:
+        return [f"rotation structure: {e}"]
+    r = rot(P)
+    for comp in components_by_tuples(P):
+        V = len(comp)
+        E = sum(len(r[v]) for v in comp) // 2
+        if E == 0:
+            continue
+        F = sum(1 for f in faces if f and f[0][0] in comp)
+        if V - E + F != 2:
+            problems.append(
+                f"not planar: component with V={V} E={E} F={F} fails Euler")
+    if len(set(P.outer)) != len(P.outer):
+        problems.append("outer boundary repeats a node")
+    for x in P.outer:
+        if x not in nodeset:
+            problems.append(f"outer boundary names unknown node {x}")
+    if not problems and P.outer and outer_face_by_tuples(P) is None:
+        problems.append("outer boundary order not realized by any face")
+    return problems

@@ -1,22 +1,28 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+import flatwall.flatness
+import flatwall.leveling
 import flatwall.pipeline
+import flatwall.tilt
 import flatwall.wall
 from flatwall.config import unit_params
 from flatwall.errors import CapacityError, InputError, InternalError
-from flatwall.flatness import generate_fixture, is_regular
+from flatwall.flatness import (PROFILES, FlatnessPair, generate_fixture,
+                               is_regular)
 from flatwall.graph import Graph, TreeDecomposition
 from flatwall.pipeline import (DefaultTreewidthDecider, OracleAnswer,
                                ScriptedOracle, ScriptedTreewidthDecider,
-                               _check_oracle_answer, find_low_tw_compass,
-                               find_wall, flat_wall_driver,
-                               validate_driver_outcome, validate_minor_model,
-                               z_bound)
-from flatwall.wall import elementary_wall, subdivide_wall, subwall
+                               _check_oracle_answer, _prune_leaves,
+                               find_low_tw_compass, find_wall,
+                               flat_wall_driver, validate_driver_outcome,
+                               validate_minor_model, z_bound)
+from flatwall.wall import (_interior_sets, elementary_wall, is_tilt,
+                           recognize_wall, subdivide_wall, subwall)
 
 UP = unit_params()
 
@@ -111,6 +117,20 @@ def test_find_wall_exhausted_recognition_is_not_no_wall(monkeypatch):
                         no_minor_tier)
     with pytest.raises(CapacityError):
         find_wall(elementary_wall(3).graph, 3, 4, UP)
+
+
+def test_find_wall_names_the_least_wall_edge_outside_the_graph(monkeypatch):
+    # a recognised wall with two edges that G lacks is reported by the
+    # least of them in edge order
+    W = elementary_wall(3)
+    edges = W.graph.edges
+    G = W.graph.remove_edges([edges[5], edges[2]])
+    monkeypatch.setattr(flatwall.pipeline, "recognize_wall",
+                        lambda G, r: W)
+    with pytest.raises(InternalError, match="found wall leaves the graph") \
+            as info:
+        find_wall(G, 3, 4, UP)
+    assert info.value.witness == ["1,2", "2,2"] == list(edges[2])
 
 
 def test_find_wall_capacity_error_on_large_cycle():
@@ -240,6 +260,39 @@ def test_oracle_answer_violations(small_pair):
                              OracleAnswer("minor", model=bad_model), UP)
 
 
+def test_full_selection_answer_that_is_no_tilt_is_rejected(small_pair):
+    # every row and column of a wall that the pair's wall is no tilt of
+    G, F = small_pair
+    rows = (1, 2, 3)
+    base = elementary_wall(3)
+    inner = next(e for e in base.graph.edges
+                 if e not in base.perimeter_edges)
+    W = subdivide_wall(base, {inner: 1})
+    assert not is_tilt(subwall(W, rows, rows), F.wall)
+    ans = OracleAnswer("flat", pair=F, subwall_rows=rows, subwall_cols=rows)
+    with pytest.raises(InternalError,
+                       match="oracle pair is not a tilt of the named subwall"):
+        _check_oracle_answer(G, 3, 2, W, ans, UP)
+
+
+@pytest.mark.parametrize("height", [5, 9, 21])
+def test_whole_subwall_has_the_interior_of_the_wall(height):
+    # what `_check_oracle_answer` relies on to compare W itself when the
+    # oracle names every row and column: the subwall may place W's degree-2
+    # vertices elsewhere, but it has W's graph, perimeter and interior
+    everything = range(1, height + 1)
+    for profile in PROFILES:
+        G, F = generate_fixture(0, height, profile)
+        found = [recognize_wall(F.wall.graph, height),
+                 recognize_wall(_prune_leaves(G), height)]
+        for W in [F.wall] + [W for W in found if W is not None]:
+            S = subwall(W, everything, everything)
+            assert S.graph == W.graph
+            assert S.perimeter_set == W.perimeter_set
+            assert S.perimeter_edges == W.perimeter_edges
+            assert _interior_sets(S) == _interior_sets(W)
+
+
 # -- driver shortcuts and easy outcomes ------------------------------------
 
 
@@ -343,6 +396,37 @@ def test_driver_with_nothing_to_avoid_takes_no_influence(big, monkeypatch):
     assert out.kind == "flat-wall"
     assert "avoiding subwall block (0,0)" in " ".join(out.notes)
     assert calls == []
+
+
+def test_driver_scans_the_oracle_pair_only_in_its_cold_check(big,
+                                                             monkeypatch):
+    # no regularity check of the oracle's pair, and no cell of any pair is
+    # tested for tidiness twice; the oracle's pair only where classified
+    G, F = big
+    F = FlatnessPair(F.wall, F.X, F.Y, F.pegs_corners, F.rendition)
+    checked, tested = [], []
+    for mod in (flatwall.tilt, flatwall.pipeline, flatwall.leveling):
+        def counted(pair, is_regular=mod.is_regular):
+            checked.append(pair)
+            return is_regular(pair)
+        monkeypatch.setattr(mod, "is_regular", counted)
+    untidy_vertices = flatwall.flatness.untidy_vertices
+
+    def tested_once(pair, cid):
+        tested.append((pair, cid))
+        return untidy_vertices(pair, cid)
+
+    monkeypatch.setattr(flatwall.flatness, "untidy_vertices", tested_once)
+    out = flat_wall_driver(G, 3, 2, ScriptedOracle([flat_answer(F)]), UP,
+                           ScriptedTreewidthDecider(["high", "default"], UP))
+    assert out.kind == "flat-wall"
+    assert checked and not any(pair is F for pair in checked)
+    assert max(Counter((id(pair), cid)
+                       for pair, cid in tested).values()) == 1
+    classified = set().union(*(classes for key, classes in F._memo.items()
+                               if key[0] == "classes"))
+    on_f = {cid for pair, cid in tested if pair is F}
+    assert on_f and on_f <= classified < set(F.rendition.sigma)
 
 
 def test_driver_outcome_is_validated_against_the_callers_graph(big):

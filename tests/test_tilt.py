@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatwall.errors import InputError
+import flatwall.tilt
+from flatwall.errors import InputError, InternalError
 from flatwall.flatness import (classify_cells, generate_fixture, influence_union,
                                is_regular, untidy_cells, validate_flatness)
 from flatwall.graph import Graph
-from flatwall.tilt import (_splice_wall, compute_tilt, regularize,
-                           repair_untidy, stretching, tilt_main)
+from flatwall.tilt import (TiltResult, _splice_wall, compute_tilt,
+                           regularize, repair_untidy, stretching, tilt_main)
 from flatwall.wall import is_tilt
 
 from oracles import enumerate_subwalls
@@ -176,6 +177,19 @@ def test_tilt_of_regular_pair_is_regular():
     res = compute_tilt(G, F, S)
     assert is_regular(res.pair)
     assert is_tilt(res.wall, S)
+
+
+def test_irregular_tilt_of_a_regular_pair_raises(monkeypatch):
+    G, F = generate_fixture(0, 5)
+    _, untidy = generate_fixture(0, 5, "with-untidy")
+    assert is_regular(F) and not is_regular(untidy)
+    monkeypatch.setattr(flatwall.tilt, "tilt_main",
+                        lambda G, F, Wp: TiltResult(untidy, {}, frozenset()))
+    with pytest.raises(InternalError,
+                       match="tilt of a regular pair came out irregular"):
+        compute_tilt(G, F, F.wall)
+    # an irregular source may give an irregular tilt
+    assert compute_tilt(G, untidy, untidy.wall).pair is untidy
 
 
 def test_tilt_compass_in_influence():
