@@ -143,8 +143,9 @@ def find_wall(G: Graph, r: int, t: int,
     A wall is found only when G's leaf-pruned core is a subdivided
     elementary r-wall (`recognize_wall`); an apex or a flap on the wall
     defeats it, and the search falls through to the minor and treewidth
-    tiers. A recognition search that runs past its budget raises
-    `CapacityError` (exit 3) rather than reporting that no wall exists.
+    tiers. Recognition has no budget: it places the wall's skeleton by
+    forced steps from at most 6 flags per start vertex, never
+    backtracking, so it always answers.
     """
     p = p or Params()
     check_height(r)

@@ -14,6 +14,7 @@ bounded by the heights a caller asks for.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from types import MappingProxyType
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, InternalError
 from .graph import Graph, norm_edge, vkey
 
 Coord = Tuple[int, int]
@@ -106,24 +107,31 @@ def _norm_cedge(a: Coord, b: Coord) -> Tuple[Coord, Coord]:
 
 
 class _Skeleton(NamedTuple):
-    """The elementary r-wall's skeleton, as wall recognition matches it.
+    """The elementary r-wall's skeleton, as wall recognition matches it:
+    its branch vertices (those of degree 3; the skeleton is cubic and
+    simple) and the arcs between them, in template coordinates.
 
-    - branch, arcs: what `_suppressed` traces on the wall whose vertex ids
-      are the `_cid` strings, in its order and orientation; coord: the
-      coordinate of each id;
-    - arcs_at, order, back: the template half of `_skeleton_embeddings`,
-      the arcs at each branch vertex, the placement order (breadth first
-      from the anchor, the first branch vertex on a 3-arc cycle) and, per
-      placed vertex, its arcs back to vertices placed before it, each with
-      its other end.
+    - arcs: every arc, ordered and oriented as on the wall whose vertex ids
+      are the `_cid` strings: from its lesser end, by that end and then the
+      vertex after it;
+    - order: the branch vertices breadth first along `arcs` from the
+      anchor, the first in `_cid` order on a 3-arc cycle, so that the
+      anchor's neighbours come next; a vertex's index here is its number,
+      and the images along it order the embeddings;
+    - back: per vertex of `order`, its arcs to those before it, each as
+      (arc, number of its first end, number of its last end); a recognised
+      wall's maps follow this order;
+    - plan: the steps that place every branch vertex after the anchor's
+      neighbours, each as (v, p, others), the numbers of v, of a neighbour
+      p placed before it and of v's other neighbours placed before it.
+      Either v is p's only neighbour left unplaced, or some q in others
+      has no unplaced common neighbour with p but v.
     """
 
-    branch: Tuple[str, ...]
-    arcs: Tuple[Tuple[str, ...], ...]
-    coord: Mapping[str, Coord]
-    arcs_at: Mapping[str, Tuple[Tuple[str, ...], ...]]
-    order: Tuple[str, ...]
-    back: Tuple[Tuple[Tuple[Tuple[str, ...], str], ...], ...]
+    arcs: Tuple[Tuple[Coord, ...], ...]
+    order: Tuple[Coord, ...]
+    back: Tuple[Tuple[Tuple[Coord, ...], int, int], ...]
+    plan: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -150,26 +158,61 @@ class _Template:
 
     @functools.cached_property
     def skeleton(self) -> _Skeleton:
+        # traced on the `_cid` strings, whose order orders the arcs
         ids = {c: _cid(c) for c in self.vertices}
-        branch, arcs = _suppressed(Graph(
-            ids.values(), ((ids[a], ids[b]) for a, b in self.edges)))
-        at = {b: tuple(a) for b, a in _arcs_at(branch, arcs).items()}
-        order = [next(v for v in branch if _on_triangle(at, v))]
+        adj: Dict[str, List[str]] = {i: [] for i in ids.values()}
+        for a, b in self.edges:
+            adj[ids[a]].append(ids[b])
+            adj[ids[b]].append(ids[a])
+        darts = _arcs_from(adj)
+        arcs = sorted(p for ps in darts.values() for p in ps if p[0] < p[-1])
+        at: Dict[str, List] = {b: [] for b in darts}
+        for a in arcs:
+            at[a[0]].append(a)
+            at[a[-1]].append(a)
+        nb = {v: [_other(a, v) for a in at[v]] for v in at}
+        if any(len(set(n)) != 3 for n in nb.values()):
+            raise InternalError("template skeleton is not cubic and simple")
+        order = [next(v for v in sorted(nb) if _on_triangle(nb, v))]
         seen = set(order)
         for v in order:                 # the template is connected
-            for a in at[v]:
-                w = _other(a, v)
+            for w in nb[v]:
                 if w not in seen:
                     seen.add(w)
                     order.append(w)
-        pos = {v: i for i, v in enumerate(order)}
-        back = tuple(tuple((a, _other(a, v)) for a in at[v]
-                           if pos[_other(a, v)] < i)
-                     for i, v in enumerate(order))
+        num = {v: i for i, v in enumerate(order)}
+        # the steps of `_skeleton_embeddings`: a vertex is tried again
+        # whenever one within distance 2 of it is placed, the only event
+        # that can let either rule place it
+        placed = set(order[:4])
+        plan = []
+        queue = collections.deque(w for u in order[1:4] for w in nb[u])
+        while queue:
+            v = queue.popleft()
+            if v in placed:
+                continue
+            near = [u for u in nb[v] if u in placed]
+            for p in near:
+                free = [w for w in nb[p] if w not in placed]
+                if free == [v] or any([w for w in free if w in nb[q]] == [v]
+                                      for q in near if q != p):
+                    break
+            else:
+                continue
+            plan.append((num[v], num[p],
+                         tuple(num[u] for u in near if u != p)))
+            placed.add(v)
+            queue.extend(w for u in (v, *nb[v]) for w in nb[u])
+        if len(placed) != len(nb):
+            raise InternalError("template skeleton is not forced by a flag")
+        coord = {i: c for c, i in ids.items()}
+        path = {a: tuple(map(coord.get, a)) for a in arcs}
         return _Skeleton(
-            branch=tuple(branch), arcs=tuple(arcs),
-            coord=MappingProxyType({i: c for c, i in ids.items()}),
-            arcs_at=MappingProxyType(at), order=tuple(order), back=back)
+            arcs=tuple(path.values()), order=tuple(map(coord.get, order)),
+            back=tuple((path[a], num[a[0]], num[a[-1]])
+                       for i, v in enumerate(order) for a in at[v]
+                       if num[_other(a, v)] < i),
+            plan=tuple(plan))
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,15 +275,20 @@ class Wall:
                  "_memo")
 
     def __init__(self, height: int, branch_coords: Dict[Coord, object],
-                 seg_paths: Dict[Tuple[Coord, Coord], Sequence]):
+                 seg_paths: Dict[Tuple[Coord, Coord], Sequence], *,
+                 graph: Optional[Graph] = None):
+        """graph, if given, must be the union of the paths; recognition
+        passes the graph it read them off, rather than building it again."""
         check_height(height)
         self.height = height
         self.branch_coords = dict(branch_coords)
         self.seg_paths = {_norm_cedge(*k): tuple(p) for k, p in seg_paths.items()}
-        edges = []
-        for p in self.seg_paths.values():
-            edges.extend(zip(p, p[1:]))
-        self._graph = Graph(self.branch_coords.values(), edges)
+        if graph is None:
+            edges = []
+            for p in self.seg_paths.values():
+                edges.extend(zip(p, p[1:]))
+            graph = Graph(self.branch_coords.values(), edges)
+        self._graph = graph
         self._vmap = None
         self._memo: Dict = {}
 
@@ -560,46 +608,26 @@ def is_tilt(W1: Wall, W2: Wall) -> bool:
 # -- skeleton embeddings: recognition, pegs and corners --------------------
 
 
-def _suppressed(G: Graph):
-    """Branch vertices plus arcs (maximal paths through degree-2 vertices)."""
-    branch = sorted((v for v in G.vertex_set if G.degree(v) != 2), key=vkey)
-    bset = set(branch)
-    arcs = []
-    seen_edges = set()
-    for b in branch:
-        for nb in G.neighbors(b):
-            e0 = norm_edge(b, nb)
-            if e0 in seen_edges:
+def _arcs_from(adj: Mapping) -> Dict:
+    """Per vertex of degree other than 2 in the graph with adjacency adj,
+    the paths that leave it through vertices of degree 2 and end at the
+    next such vertex: the arcs of the graph's skeleton, each traced once
+    and stored from both of its ends."""
+    out: Dict = {v: [] for v, ns in adj.items() if len(ns) != 2}
+    done = set()
+    for b, paths in out.items():
+        done.add(b)
+        for v in adj[b]:
+            if v in done:
                 continue
-            path = [b, nb]
-            seen_edges.add(e0)
-            while path[-1] not in bset:
-                v = path[-1]
-                nxt = [u for u in G.neighbors(v) if u != path[-2]]
-                if not nxt:
-                    break
-                path.append(nxt[0])
-                e = norm_edge(v, nxt[0])
-                seen_edges.add(e)
-            if path[-1] in bset:
-                arcs.append(tuple(path))
-    # dedupe reversed duplicates
-    out = []
-    seen = set()
-    for a in arcs:
-        key = min(a, tuple(reversed(a)), key=lambda p: [vkey(v) for v in p])
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return branch, out
-
-
-def _arcs_at(branch, arcs) -> Dict:
-    out = {b: [] for b in branch}
-    for a in arcs:
-        out[a[0]].append(a)
-        if a[-1] != a[0]:
-            out[a[-1]].append(a)
+            path, u = [b, v], b
+            while v not in out:
+                done.add(v)
+                x, y = adj[v]
+                u, v = v, (y if x == u else x)
+                path.append(v)
+            paths.append(tuple(path))
+            out[v].append(tuple(reversed(path)))
     return out
 
 
@@ -607,131 +635,113 @@ def _other(arc, v):
     return arc[-1] if arc[0] == v else arc[0]
 
 
-def _on_triangle(at: Dict, v) -> bool:
-    """Whether branch vertex v lies on a cycle of three arcs."""
-    ns = {_other(a, v) for a in at[v]} - {v}
-    return any(x in ns and x != w
-               for w in ns for x in (_other(b, w) for b in at[w]))
+def _on_triangle(nb: Mapping, v) -> bool:
+    """Whether v lies on a cycle of three arcs of a cubic simple skeleton
+    whose neighbour tuples are nb."""
+    x, y, z = nb[v]
+    return y in nb[x] or z in nb[x] or z in nb[y]
 
 
-def _skeleton_embeddings(S: _Skeleton, hb, harcs,
-                         budget: Optional[int] = None):
-    """Every embedding of the template skeleton S into a host skeleton.
+def _skeleton_embeddings(S: _Skeleton, G: Graph):
+    """Every embedding of the template skeleton S into the skeleton of G.
 
-    Skeletons are (branch vertices, arcs) as `_suppressed` returns them. An
+    G must be the subdivision itself: every edge of G lies on an arc. An
     embedding maps the branch vertices bijectively and each template arc to
     its own host arc between the images of its ends, with at least as many
-    inner vertices. Yields (vertex map, arc map); the arc map orients each
-    host arc like its template arc.
+    inner vertices. Yields (images, arc map): the images of `S.order`, and
+    per template arc in `S.back` order its host arc, oriented like it. The
+    embeddings come with the least images along `S.order` first, in `vkey`
+    order, as a search trying candidates in that order would find them.
 
-    The search starts from a template vertex on a 3-arc cycle (every
-    elementary wall has one at its corners), tried only on host vertices on
-    such cycles (an embedding is a skeleton isomorphism), and places the
-    other vertices in BFS order (`S.order`). So only a few host vertices
-    are tried as the start, but candidates are still tried in order of
-    vertex names. `budget` caps the placements tried.
+    The search is forced, with no backtracking. The template skeleton is
+    cubic and simple, so a host with an embedding is too. An embedding e
+    sends the anchor to a vertex h on a 3-arc cycle and the anchor's
+    neighbours, in one of 6 orders, onto h's neighbours: a flag. Let e
+    agree with the vertices placed so far, and let (v, p, others) be the
+    next step of `S.plan`. e maps the neighbours of each placed vertex onto
+    those of its image and the placed vertices onto the images, so:
+
+    - if v is p's only unplaced neighbour, e(v) is the only neighbour of
+      e(p) that is not an image;
+    - if v is the only unplaced common neighbour of p and some q in
+      others, e(v) is the only common neighbour of e(p) and e(q) that is
+      not an image.
+
+    Either way e(v) is the only neighbour x of e(p) that is not an image
+    and is adjacent to the image of each of others, the vertex the step
+    takes. By induction, e is the map its flag's steps build: a flag is
+    extended by at most one embedding, which the search finds. A flag that
+    no embedding extends stops at a step with no such x or fails the final
+    check of every arc and its length; so what is kept is exactly the
+    embeddings, sorted per start.
     """
-    if len(S.branch) != len(hb) or len(S.arcs) != len(harcs):
+    darts = _arcs_from({v: G.neighbors(v) for v in G.vertex_set})
+    if (len(darts) != len(S.order) or sum(
+            len(p) - 1 for ps in darts.values() for p in ps) != 2 * G.m):
         return
-    t_at, order, back = S.arcs_at, S.order, S.back
-    h_at = _arcs_at(hb, harcs)
-    between: Dict = {}
-    for ha in harcs:
-        between.setdefault((ha[0], ha[-1]), []).append(ha)
-        if ha[-1] != ha[0]:
-            between.setdefault((ha[-1], ha[0]), []).append(ha)
-    starts = (h for h in hb if _on_triangle(h_at, h))
-
-    vmap: Dict = {}
-    used_h = set()
-    used_arcs = set()
-    chosen: List = []
-
-    def options(i):
-        need = back[i]
-        if need:
-            ta0, w0 = need[0]
-            hw = vmap[w0]
-            cands = sorted({_other(ha, hw) for ha in h_at[hw]
-                            if id(ha) not in used_arcs and len(ha) >= len(ta0)}
-                           - used_h, key=vkey)
-        else:
-            cands = starts
-        deg = len(t_at[order[i]])
-        for h in cands:
-            if h in used_h or len(h_at[h]) != deg:
-                continue
-            per_arc = [[ha for ha in between.get((h, vmap[w]), ())
-                        if id(ha) not in used_arcs and len(ha) >= len(ta)]
-                       for ta, w in need]
-            for combo in itertools.product(*per_arc):
-                if len({id(ha) for ha in combo}) == len(combo):
-                    yield h, combo
-
-    def undo():
-        u, h, combo = chosen.pop()
-        del vmap[u]
-        used_h.discard(h)
-        for ha in combo:
-            used_arcs.discard(id(ha))
-
-    frames = [options(0)]
-    while frames:
-        step = next(frames[-1], None)
-        if step is None:
-            frames.pop()
-            if chosen:
-                undo()
-            continue
-        if budget is not None:
-            budget -= 1
-            if budget <= 0:
-                raise CapacityError("wall recognition budget exhausted")
-        h, combo = step
-        u = order[len(chosen)]
-        vmap[u] = h
-        used_h.add(h)
-        used_arcs.update(id(ha) for ha in combo)
-        chosen.append((u, h, combo))
-        if len(chosen) < len(order):
-            frames.append(options(len(chosen)))
-            continue
-        amap = {}
-        for (_u, _h, combo), need in zip(chosen, back):
-            for (ta, _w), ha in zip(need, combo):
-                amap[ta] = ha if ha[0] == vmap[ta[0]] else ha[::-1]
-        yield dict(vmap), amap
-        undo()
+    nb = {}
+    for b, ps in darts.items():
+        nb[b] = ends = tuple([p[-1] for p in ps])
+        if len(set(ends)) != 3 or b in ends:
+            return
+    plan, back, rest = S.plan, S.back, [None] * (len(S.order) - 4)
+    for h in sorted((h for h in nb if _on_triangle(nb, h)), key=vkey):
+        found = []
+        for flag in itertools.permutations(nb[h]):
+            vmap = [h, *flag, *rest]
+            used = set(vmap[:4])
+            for v, p, others in plan:
+                for x in nb[vmap[p]]:
+                    if x not in used:
+                        near = nb[x]
+                        if all(vmap[w] in near for w in others):
+                            break
+                else:
+                    break               # no embedding extends this flag
+                vmap[v] = x
+                used.add(x)
+            else:
+                amap = {}
+                for ta, i, j in back:
+                    ns = nb[vmap[i]]
+                    if vmap[j] not in ns:
+                        break
+                    amap[ta] = ha = darts[vmap[i]][ns.index(vmap[j])]
+                    if len(ha) < len(ta):
+                        break
+                else:
+                    found.append((vmap, amap))
+        if len(found) > 1:
+            found.sort(key=lambda e: [vkey(x) for x in e[0]])
+        yield from found
 
 
 def recognize_wall(G: Graph, r: int) -> Optional[Wall]:
     """G as a subdivided elementary r-wall, or None if it is not one.
 
     G must be the subdivision itself, with no other vertices or edges. The
-    result is the first skeleton embedding found; template vertices inside
-    an arc take the first inner vertices of its host arc.
+    result is the first skeleton embedding (`_skeleton_embeddings`); template
+    vertices inside an arc take the first inner vertices of its host arc.
+    The wall's graph is G.
     """
-    if G.n == 0 or any(G.degree(v) not in (2, 3) for v in G.vertex_set):
-        return None
     S = _template(r).skeleton
-    hb, harcs = _suppressed(G)
-    if sum(len(a) - 1 for a in harcs) != G.m:
-        return None
-    emb = next(_skeleton_embeddings(S, hb, harcs, budget=400000), None)
+    emb = next(_skeleton_embeddings(S, G), None)
     if emb is None:
         return None
     vmap, amap = emb
-    branch_coords = {S.coord[v]: h for v, h in vmap.items()}
+    branch_coords = dict(zip(S.order, vmap))
     seg_paths: Dict = {}
     for ta, hp in amap.items():
-        coords = [S.coord[x] for x in ta]
-        k = len(coords) - 1
+        if len(ta) == 2:                # most arcs: one template edge
+            seg_paths[ta] = hp
+            continue
+        k = len(ta) - 1
         cut = list(range(k)) + [len(hp) - 1]
         for j in range(1, k):
-            branch_coords[coords[j]] = hp[j]
+            branch_coords[ta[j]] = hp[j]
         for j in range(k):
-            seg_paths[(coords[j], coords[j + 1])] = hp[cut[j]:cut[j + 1] + 1]
-    W = Wall(r, branch_coords, seg_paths)
+            seg_paths[(ta[j], ta[j + 1])] = hp[cut[j]:cut[j + 1] + 1]
+    W = Wall(r, branch_coords, seg_paths, graph=G)
     if W.validate():
         return None
     return W
@@ -741,9 +751,8 @@ def _ranks(T: _Template, amap) -> List[Tuple]:
     """Per template arc: the inner vertices of its host arc under the
     skeleton embedding amap, and which inner template vertices are
     corners."""
-    S = T.skeleton
-    return [(amap[t][1:-1], tuple(S.coord[v] in T.corners for v in t[1:-1]))
-            for t in S.arcs]
+    return [(amap[t][1:-1], tuple(c in T.corners for c in t[1:-1]))
+            for t in T.skeleton.arcs]
 
 
 def _admits(ranks, pc: PegsCorners) -> bool:
@@ -761,8 +770,7 @@ def admits_pegs_corners(W: Wall, pc: PegsCorners) -> bool:
     if (len(pc.pegs), len(pc.corners)) != (len(T.pegs), len(T.corners)):
         return False
     return any(_admits(_ranks(T, amap), pc)
-               for _vmap, amap in _skeleton_embeddings(
-                   T.skeleton, *_suppressed(W.graph)))
+               for _vmap, amap in _skeleton_embeddings(T.skeleton, W.graph))
 
 
 def choices_of_pegs_corners(W: Wall, limit: int = 400):
@@ -778,8 +786,7 @@ def choices_of_pegs_corners(W: Wall, limit: int = 400):
                             witness=W.graph.n)
     T = _template(W.height)
     seen = []
-    for _vmap, amap in _skeleton_embeddings(T.skeleton,
-                                            *_suppressed(W.graph)):
+    for _vmap, amap in _skeleton_embeddings(T.skeleton, W.graph):
         ranks = _ranks(T, amap)
         # per template arc, spread its inner template vertices over the
         # host arc's inner vertices, order preserving

@@ -19,7 +19,12 @@ are each kept as the reference for a faster library method:
   kernel that numbers them;
 - `components_by_scan` and `candidates_by_scan`, the per-component scans
   of every edge of W-bullet and every cell of the rendition, for the
-  leveling search that reads adjacency and tables built once per pair.
+  leveling search that reads adjacency and tables built once per pair;
+- `recognize_wall_by_search` and `skeleton_embeddings_by_search`, the
+  depth-first search over skeleton embeddings that tries candidates in
+  `vkey` order, with `suppressed_by_sort`, the arc tracer that orients
+  each arc by comparing `vkey` lists, for the recognition that places the
+  skeleton by forced steps from a flag.
 """
 from __future__ import annotations
 
@@ -539,3 +544,171 @@ def painting_problems_by_tuples(P):
     if not problems and P.outer and outer_face_by_tuples(P) is None:
         problems.append("outer boundary order not realized by any face")
     return problems
+
+
+def suppressed_by_sort(G: Graph):
+    """Branch vertices (degree other than 2) in `vkey` order, and the arcs
+    (maximal paths through degree-2 vertices) between them, each turned to
+    its lesser orientation by comparing `vkey` lists."""
+    from flatwall.graph import norm_edge, vkey
+
+    branch = sorted((v for v in G.vertex_set if G.degree(v) != 2), key=vkey)
+    bset = set(branch)
+    arcs = []
+    seen_edges = set()
+    for b in branch:
+        for nb in G.neighbors(b):
+            e0 = norm_edge(b, nb)
+            if e0 in seen_edges:
+                continue
+            path = [b, nb]
+            seen_edges.add(e0)
+            while path[-1] not in bset:
+                v = path[-1]
+                nxt = [u for u in G.neighbors(v) if u != path[-2]]
+                if not nxt:
+                    break
+                path.append(nxt[0])
+                seen_edges.add(norm_edge(v, nxt[0]))
+            if path[-1] in bset:
+                arcs.append(tuple(path))
+    out = []
+    seen = set()
+    for a in arcs:
+        key = min(a, tuple(reversed(a)), key=lambda p: [vkey(v) for v in p])
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return branch, out
+
+
+def _arcs_at(branch, arcs):
+    out = {b: [] for b in branch}
+    for a in arcs:
+        out[a[0]].append(a)
+        if a[-1] != a[0]:
+            out[a[-1]].append(a)
+    return out
+
+
+def _other_end(arc, v):
+    return arc[-1] if arc[0] == v else arc[0]
+
+
+def _on_arc_triangle(at, v) -> bool:
+    ns = {_other_end(a, v) for a in at[v]} - {v}
+    return any(x in ns and x != w
+               for w in ns for x in (_other_end(b, w) for b in at[w]))
+
+
+def skeleton_embeddings_by_search(r: int, G: Graph):
+    """Every embedding of the elementary r-wall's skeleton into G's, by a
+    depth-first search that tries each vertex's candidates in `vkey` order
+    and each arc's in trace order, as (vertex map, arc map) keyed by
+    template coordinates, the arc map in placement order with each host
+    arc oriented like its template arc."""
+    from flatwall.graph import vkey
+    from flatwall.wall import elementary_wall
+
+    W = elementary_wall(r)          # its vertex ids are the `_cid` strings
+    coord = {v: c for c, v in W.branch_coords.items()}
+    branch, arcs = suppressed_by_sort(W.graph)
+    t_at = _arcs_at(branch, arcs)
+    order = [next(v for v in branch if _on_arc_triangle(t_at, v))]
+    seen = set(order)
+    for v in order:
+        for w in (_other_end(a, v) for a in t_at[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[(a, _other_end(a, v)) for a in t_at[v]
+             if pos[_other_end(a, v)] < i] for i, v in enumerate(order)]
+
+    hb, harcs = suppressed_by_sort(G)
+    if len(branch) != len(hb) or len(arcs) != len(harcs):
+        return
+    h_at = _arcs_at(hb, harcs)
+    between = {}
+    for ha in harcs:
+        between.setdefault((ha[0], ha[-1]), []).append(ha)
+        if ha[-1] != ha[0]:
+            between.setdefault((ha[-1], ha[0]), []).append(ha)
+    starts = [h for h in hb if _on_arc_triangle(h_at, h)]
+    vmap, used_h, used_arcs, chosen = {}, set(), set(), []
+
+    def options(i):
+        need = back[i]
+        if need:
+            ta0, w0 = need[0]
+            hw = vmap[w0]
+            cands = sorted({_other_end(ha, hw) for ha in h_at[hw]
+                            if id(ha) not in used_arcs
+                            and len(ha) >= len(ta0)} - used_h, key=vkey)
+        else:
+            cands = starts
+        for h in cands:
+            if h in used_h or len(h_at[h]) != len(t_at[order[i]]):
+                continue
+            per_arc = [[ha for ha in between.get((h, vmap[w]), ())
+                        if id(ha) not in used_arcs and len(ha) >= len(ta)]
+                       for ta, w in need]
+            for combo in itertools.product(*per_arc):
+                if len({id(ha) for ha in combo}) == len(combo):
+                    yield h, combo
+
+    frames = [options(0)]
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            frames.pop()
+            if chosen:
+                u, h, combo = chosen.pop()
+                del vmap[u]
+                used_h.discard(h)
+                used_arcs.difference_update(id(ha) for ha in combo)
+            continue
+        h, combo = step
+        u = order[len(chosen)]
+        vmap[u] = h
+        used_h.add(h)
+        used_arcs.update(id(ha) for ha in combo)
+        chosen.append((u, h, combo))
+        if len(chosen) < len(order):
+            frames.append(options(len(chosen)))
+            continue
+        amap = {}
+        for (_u, _h, combo), need in zip(chosen, back):
+            for (ta, _w), ha in zip(need, combo):
+                amap[tuple(coord[x] for x in ta)] = (
+                    ha if ha[0] == vmap[ta[0]] else ha[::-1])
+        yield {coord[v]: h for v, h in vmap.items()}, amap
+        u, h, combo = chosen.pop()
+        del vmap[u]
+        used_h.discard(h)
+        used_arcs.difference_update(id(ha) for ha in combo)
+
+
+def recognize_wall_by_search(G: Graph, r: int):
+    """`wall.recognize_wall` on the first embedding the depth-first search
+    finds, with the wall's graph built from its paths."""
+    from flatwall.wall import Wall
+
+    if G.n == 0 or any(G.degree(v) not in (2, 3) for v in G.vertex_set):
+        return None
+    if sum(len(a) - 1 for a in suppressed_by_sort(G)[1]) != G.m:
+        return None
+    emb = next(skeleton_embeddings_by_search(r, G), None)
+    if emb is None:
+        return None
+    branch_coords, amap = emb
+    seg_paths = {}
+    for ta, hp in amap.items():
+        k = len(ta) - 1
+        cut = list(range(k)) + [len(hp) - 1]
+        for j in range(1, k):
+            branch_coords[ta[j]] = hp[j]
+        for j in range(k):
+            seg_paths[(ta[j], ta[j + 1])] = hp[cut[j]:cut[j + 1] + 1]
+    W = Wall(r, branch_coords, seg_paths)
+    return None if W.validate() else W

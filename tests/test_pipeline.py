@@ -9,7 +9,6 @@ import flatwall.flatness
 import flatwall.leveling
 import flatwall.pipeline
 import flatwall.tilt
-import flatwall.wall
 from flatwall.config import unit_params
 from flatwall.errors import CapacityError, InputError, InternalError
 from flatwall.flatness import (PROFILES, FlatnessPair, generate_fixture,
@@ -102,21 +101,6 @@ def test_find_wall_with_a_chord_reports_a_minor():
     assert validate_minor_model(G, res.model, 4) == []
     assert ("wall search limited to pruned subdivisions at this size"
             in res.notes)
-
-
-def test_find_wall_exhausted_recognition_is_not_no_wall(monkeypatch):
-    def exhausted(*args, **kwargs):
-        raise CapacityError("wall recognition budget exhausted")
-        yield
-
-    def no_minor_tier(*args, **kwargs):
-        raise AssertionError("exhaustion fell through to the minor tier")
-
-    monkeypatch.setattr(flatwall.wall, "_skeleton_embeddings", exhausted)
-    monkeypatch.setattr(flatwall.pipeline, "_small_clique_minor",
-                        no_minor_tier)
-    with pytest.raises(CapacityError):
-        find_wall(elementary_wall(3).graph, 3, 4, UP)
 
 
 def test_find_wall_names_the_least_wall_edge_outside_the_graph(monkeypatch):
