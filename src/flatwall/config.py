@@ -1,7 +1,8 @@
 """Desk-scale limits and parameter functions.
 
 Exceeding a limit raises CapacityError; there is no silent degradation.
-Limits can be overridden through FLATWALL_LIMIT_<NAME> environment variables.
+Limits can be overridden through FLATWALL_LIMIT_<NAME> environment variables;
+any other FLATWALL_LIMIT_ variable is a UsageError, never silently ignored.
 """
 from __future__ import annotations
 
@@ -14,19 +15,22 @@ from .errors import UsageError
 @dataclass(frozen=True)
 class Limits:
     minor_model: int = 24
-    treewidth: int = 20
 
     def override_from_env(self) -> "Limits":
         out = self
-        for f in fields(self):
-            var = "FLATWALL_LIMIT_" + f.name.upper()
-            raw = os.environ.get(var)
-            if raw is not None:
-                try:
-                    out = replace(out, **{f.name: int(raw)})
-                except ValueError:
-                    raise UsageError("limit must be an integer",
-                                     witness={var: raw})
+        known = {"FLATWALL_LIMIT_" + f.name.upper(): f.name
+                 for f in fields(self)}
+        for var, raw in sorted(os.environ.items()):
+            if not var.startswith("FLATWALL_LIMIT_"):
+                continue
+            if var not in known:
+                raise UsageError("unknown limit variable",
+                                 witness={var: raw, "known": sorted(known)})
+            try:
+                out = replace(out, **{known[var]: int(raw)})
+            except ValueError:
+                raise UsageError("limit must be an integer",
+                                 witness={var: raw})
         return out
 
 

@@ -206,7 +206,7 @@ class Graph:
         return out
 
     def connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or _spans(self._adj, self._vertices)
 
     def shortest_path(self, x, y) -> Tuple:
         """Deterministic BFS path; ties broken by sorted adjacency order."""
@@ -243,7 +243,7 @@ def articulation_points(G: Graph) -> FrozenSet:
     depth: Dict = {}
     low: Dict = {}
     out = set()
-    for root in G.vertices:
+    for root in G.vertex_set:
         if root in visited:
             continue
         stack = [(root, None, iter(G.neighbors(root)))]
@@ -469,69 +469,6 @@ def _spans(adj: Dict, within) -> bool:
     return len(seen) == len(within)
 
 
-def exact_treewidth(G: Graph, limit: Optional[int] = None) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth by the elimination-ordering subset DP."""
-    limit = DEFAULT_LIMITS.treewidth if limit is None else limit
-    if G.n > limit:
-        raise CapacityError(f"treewidth limited to {limit} vertices", witness=G.n)
-    verts = G.vertices
-    if G.n == 0:
-        return -1, TreeDecomposition({}, ())
-    index = {v: i for i, v in enumerate(verts)}
-
-    def q_value(mask: int, v) -> int:
-        # vertices outside mask+{v} reachable from v through mask
-        seen = {v}
-        queue = deque([v])
-        out = 0
-        vbit = 1 << index[v]
-        while queue:
-            x = queue.popleft()
-            for u in G.neighbors(x):
-                if u in seen:
-                    continue
-                seen.add(u)
-                if mask & (1 << index[u]):
-                    queue.append(u)
-                elif not (vbit & (1 << index[u])):
-                    out += 1
-        return out
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def opt(mask: int) -> int:
-        if mask == 0:
-            return -1
-        best = G.n
-        for i in range(len(verts)):
-            if mask & (1 << i):
-                v = verts[i]
-                rest = mask & ~(1 << i)
-                best = min(best, max(opt(rest), q_value(rest, v)))
-        return best
-
-    full = (1 << G.n) - 1
-    width = opt(full)
-
-    # rebuild one optimal elimination order, last eliminated first
-    order = []
-    mask = full
-    while mask:
-        for i in range(len(verts)):
-            if mask & (1 << i):
-                v = verts[i]
-                rest = mask & ~(1 << i)
-                if max(opt(rest), q_value(rest, v)) == opt(mask):
-                    order.append(v)
-                    mask = rest
-                    break
-    order.reverse()  # elimination order, first eliminated first
-
-    opt.cache_clear()
-    return width, _decomposition_from_order(G, order)
-
-
 def _eliminate(adj: Dict, v) -> Set:
     """Remove v from adj after making its neighbours a clique; return them."""
     nbrs = adj.pop(v)
@@ -539,22 +476,6 @@ def _eliminate(adj: Dict, v) -> Set:
         adj[u] |= nbrs
         adj[u] -= {u, v}
     return nbrs
-
-
-def _decomposition_from_order(G: Graph, order: List) -> TreeDecomposition:
-    pos = {v: i for i, v in enumerate(order)}
-    adj = {v: set(G.neighbors(v)) for v in order}
-    bags, tree_edges, roots = {}, [], []
-    for v in order:
-        higher = _eliminate(adj, v)
-        bags[v] = {v} | higher
-        if higher:
-            tree_edges.append((v, min(higher, key=pos.__getitem__)))
-        else:
-            roots.append(v)
-    # connect the roots into one tree
-    tree_edges.extend(zip(roots, roots[1:]))
-    return TreeDecomposition(bags, tree_edges)
 
 
 def min_fill_decomposition(G: Graph) -> TreeDecomposition:

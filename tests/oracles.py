@@ -24,15 +24,23 @@ are each kept as the reference for a faster library method:
   depth-first search over skeleton embeddings that tries candidates in
   `vkey` order, with `suppressed_by_sort`, the arc tracer that orients
   each arc by comparing `vkey` lists, for the recognition that places the
-  skeleton by forced steps from a flag.
+  skeleton by forced steps from a flag;
+- `exact_treewidth`, the elimination-ordering subset DP with its
+  decomposition (built with the library's `_eliminate`), for the
+  brute-force `treewidth_by_elimination` to check; the library needs no
+  exact treewidth, because the compass precondition n - 1 > z is exact.
 """
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import networkx as nx
 
-from flatwall.graph import Graph
+from flatwall.errors import CapacityError
+from flatwall.graph import Graph, TreeDecomposition, _eliminate
 
 
 def to_nx(G: Graph) -> nx.Graph:
@@ -83,6 +91,84 @@ def treewidth_by_elimination(G: Graph) -> int:
 
     extend({v: set(G.neighbors(v)) for v in G.vertices}, 0)
     return best
+
+
+def exact_treewidth(G: Graph, limit: Optional[int] = None) -> Tuple[int, TreeDecomposition]:
+    """Exact treewidth by the elimination-ordering subset DP, over 2^n
+    vertex masks, so at most `limit` (default 20) vertices."""
+    limit = 20 if limit is None else limit
+    if G.n > limit:
+        raise CapacityError(f"treewidth limited to {limit} vertices", witness=G.n)
+    verts = G.vertices
+    if G.n == 0:
+        return -1, TreeDecomposition({}, ())
+    index = {v: i for i, v in enumerate(verts)}
+
+    def q_value(mask: int, v) -> int:
+        # vertices outside mask+{v} reachable from v through mask
+        seen = {v}
+        queue = deque([v])
+        out = 0
+        vbit = 1 << index[v]
+        while queue:
+            x = queue.popleft()
+            for u in G.neighbors(x):
+                if u in seen:
+                    continue
+                seen.add(u)
+                if mask & (1 << index[u]):
+                    queue.append(u)
+                elif not (vbit & (1 << index[u])):
+                    out += 1
+        return out
+
+    @lru_cache(maxsize=None)
+    def opt(mask: int) -> int:
+        if mask == 0:
+            return -1
+        best = G.n
+        for i in range(len(verts)):
+            if mask & (1 << i):
+                v = verts[i]
+                rest = mask & ~(1 << i)
+                best = min(best, max(opt(rest), q_value(rest, v)))
+        return best
+
+    full = (1 << G.n) - 1
+    width = opt(full)
+
+    # rebuild one optimal elimination order, last eliminated first
+    order = []
+    mask = full
+    while mask:
+        for i in range(len(verts)):
+            if mask & (1 << i):
+                v = verts[i]
+                rest = mask & ~(1 << i)
+                if max(opt(rest), q_value(rest, v)) == opt(mask):
+                    order.append(v)
+                    mask = rest
+                    break
+    order.reverse()  # elimination order, first eliminated first
+
+    opt.cache_clear()
+    return width, _decomposition_from_order(G, order)
+
+
+def _decomposition_from_order(G: Graph, order: List) -> TreeDecomposition:
+    pos = {v: i for i, v in enumerate(order)}
+    adj = {v: set(G.neighbors(v)) for v in order}
+    bags, tree_edges, roots = {}, [], []
+    for v in order:
+        higher = _eliminate(adj, v)
+        bags[v] = {v} | higher
+        if higher:
+            tree_edges.append((v, min(higher, key=pos.__getitem__)))
+        else:
+            roots.append(v)
+    # connect the roots into one tree
+    tree_edges.extend(zip(roots, roots[1:]))
+    return TreeDecomposition(bags, tree_edges)
 
 
 def has_minor_bruteforce(G: Graph, H: Graph) -> bool:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall.errors import CapacityError, InputError, NoPathError
-from flatwall.graph import (Graph, TreeDecomposition, exact_treewidth,
+from flatwall.graph import (Graph, TreeDecomposition, articulation_points,
                             is_separation,
                             max_vertex_disjoint_paths, min_fill_decomposition,
                             min_vertex_cut, minor_model, norm_edge, vkey)
 
 import oracles
+from oracles import exact_treewidth
 
 
 def k(n):
@@ -87,6 +88,39 @@ def test_derived_graphs_equal_fresh_builds(ids, data):
     H = Graph(data.draw(st.sets(st.sampled_from(ids))), es2)
     _same_graph(G.union(H), G.vertex_set | H.vertex_set,
                 G.edge_set | H.edge_set)
+
+
+def _component_count(vs, es) -> int:
+    parent = {v: v for v in vs}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in es:
+        parent[root(u)] = root(v)
+    return len({root(v) for v in vs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_IDS, max_size=12, unique=True), st.data())
+def test_cut_vertices_and_connectivity_match_brute_force(ids, data):
+    # ints, strs and both mixed; sparse draws leave isolated vertices and
+    # several components
+    es = []
+    if ids:
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        es = [e for e in data.draw(st.lists(pair, max_size=20))
+              if e[0] != e[1]]
+    G = Graph(ids, es)
+    count = _component_count(G.vertex_set, G.edge_set)
+    assert G.connected() == (count <= 1)
+    cuts = {v for v in G.vertex_set
+            if _component_count(G.vertex_set - {v},
+                                [e for e in G.edge_set if v not in e])
+            > count - (G.degree(v) == 0)}
+    assert articulation_points(G) == cuts
 
 
 def test_bools_and_loops_are_rejected():

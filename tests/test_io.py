@@ -510,9 +510,24 @@ def test_bad_params_give_structured_errors(tmp_path, monkeypatch, params,
     ppath = tmp_path / "params.json"
     ppath.write_text(json.dumps(params))
     if env is not None:
-        monkeypatch.setenv("FLATWALL_LIMIT_TREEWIDTH", env)
+        monkeypatch.setenv("FLATWALL_LIMIT_MINOR_MODEL", env)
     res = runner.invoke(main, ["find-wall", "--graph", str(gpath), "-r", "3",
                                "-t", "2", "--params", str(ppath)])
     assert res.exit_code == code, res.output
     assert not isinstance(res.exception, (TypeError, ValueError))
     assert json.loads(res.stderr)["error"]["code"] == error
+
+
+def test_unknown_limit_variables_are_named(tmp_path, monkeypatch):
+    # a retired or misspelt limit exits 2 instead of being ignored
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(canonical_bytes(graph_to_json(Graph(range(3),
+                                                          [(0, 1)]))))
+    monkeypatch.setenv("FLATWALL_LIMIT_TREEWIDTH", "20")
+    res = runner.invoke(main, ["find-wall", "--graph", str(gpath), "-r", "3",
+                               "-t", "2"])
+    assert res.exit_code == 2, res.output
+    error = json.loads(res.stderr)["error"]
+    assert error["code"] == "UsageError"
+    assert error["witness"] == {"FLATWALL_LIMIT_TREEWIDTH": "20",
+                                "known": ["FLATWALL_LIMIT_MINOR_MODEL"]}

@@ -9,7 +9,7 @@ import flatwall.flatness
 import flatwall.leveling
 import flatwall.pipeline
 import flatwall.tilt
-from flatwall.config import unit_params
+from flatwall.config import Params, unit_params
 from flatwall.errors import CapacityError, InputError, InternalError
 from flatwall.flatness import (PROFILES, FlatnessPair, generate_fixture,
                                is_regular)
@@ -24,6 +24,9 @@ from flatwall.wall import (_interior_sets, elementary_wall, is_tilt,
                            recognize_wall, subdivide_wall, subwall)
 
 UP = unit_params()
+# z = 0: f4 = 0 lets the compass search recurse into desk-size graphs
+Z0 = Params(f_questionnaires=lambda t: 1, f_hierarchical=lambda t: 1,
+            f_entstandenen=lambda t: 0)
 
 
 def path_graph(n):
@@ -83,11 +86,13 @@ def test_find_wall_k6_reports_k5_minor():
     assert validate_minor_model(complete_graph(6), res.model, 5) == []
 
 
-def test_find_wall_tree_reports_treewidth():
-    res = find_wall(path_graph(6), 3, 3)
-    assert res.kind == "treewidth"
-    assert res.width == 1
-    assert res.decomposition.validate(path_graph(6)) == []
+def test_find_wall_tree_raises_capacity_error():
+    # find_wall answers only with a wall or a minor
+    with pytest.raises(CapacityError) as info:
+        find_wall(path_graph(6), 3, 3)
+    assert info.value.witness == [
+        "wall search limited to pruned subdivisions at this size",
+        "exact minor check negative"]
 
 
 def test_find_wall_with_a_chord_reports_a_minor():
@@ -318,19 +323,16 @@ def test_compass_search_preconditions():
         find_low_tw_compass(G, 3, 2, {"missing"}, ScriptedOracle([]), UP)
 
 
-def test_compass_precondition_needs_no_exact_treewidth(monkeypatch):
-    # treewidth <= n - 1 = 17 < z, which settles it without the exact DP
-    def forbidden(*args, **kwargs):
-        raise AssertionError("exact_treewidth ran")
-
-    monkeypatch.setattr(flatwall.pipeline, "exact_treewidth", forbidden)
+@pytest.mark.parametrize("w", [6, 10], ids=["3x6", "3x10"])
+def test_compass_precondition_needs_no_exact_treewidth(w):
+    # treewidth <= n - 1 <= z = 60 settles it at any size
     G = Graph((), [((x, y), (x + dx, y + dy)) for x in range(3)
-                   for y in range(6) for dx, dy in ((1, 0), (0, 1))
-                   if x + dx < 3 and y + dy < 6])
+                   for y in range(w) for dx, dy in ((1, 0), (0, 1))
+                   if x + dx < 3 and y + dy < w])
     with pytest.raises(InputError) as info:
         flat_wall_driver(G, 3, 3, ScriptedOracle([]), UP,
                          ScriptedTreewidthDecider(["high"], UP))
-    assert info.value.witness == [17, z_bound(3, 3, UP)]
+    assert info.value.witness == [3 * w - 1, 60]
 
 
 # -- the scripted end-to-end run -------------------------------------------
@@ -447,9 +449,21 @@ def test_compass_search_avoids_the_given_vertices(big):
 def test_driver_recursion_lifts_a_minor(big):
     G, F = big
     oracle = ScriptedOracle([flat_answer(F)])
-    decider = ScriptedTreewidthDecider(["high", "high"], UP)
-    out = flat_wall_driver(G, 3, 2, oracle, UP, decider)
+    decider = ScriptedTreewidthDecider(["high", "high"], Z0)
+    out = flat_wall_driver(G, 3, 2, oracle, Z0, decider)
     assert out.kind == "minor"
     assert validate_minor_model(G, out.model, 2) == []
     assert len(out.trace) == 2
     assert any(str(v).startswith("vstar") for v in out.trace[1]["L"])
+
+
+def test_recursion_into_a_small_compass_breaks_the_precondition(big):
+    # the contracted compass has 24 vertices, so treewidth <= 23 <= z = 60
+    # refutes the scripted "high" verdict one level down
+    G, F = big
+    oracle = ScriptedOracle([flat_answer(F)])
+    decider = ScriptedTreewidthDecider(["high", "high"], UP)
+    with pytest.raises(InputError, match="within the compass budget") \
+            as info:
+        flat_wall_driver(G, 3, 2, oracle, UP, decider)
+    assert info.value.witness == [23, 60]

@@ -9,6 +9,9 @@ format it implements.
 
 The desk limits the README documents are exactly the fields of `Limits`,
 which `Limits.override_from_env` reads from the environment.
+
+No module of `src/flatwall` imports a name it never reads, so an import
+left behind by a deletion fails here by name.
 """
 import ast
 import re
@@ -107,3 +110,24 @@ def test_readme_names_exactly_the_limit_variables():
     named = set(re.findall(r"FLATWALL_LIMIT_([A-Z][A-Z_]*)",
                            (ROOT / "README.md").read_text()))
     assert sorted(named) == sorted(f.name.upper() for f in fields(Limits))
+
+
+def unread_imports() -> list:
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loads:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, "imported and never read:\n" + "\n".join(unread)
