@@ -176,7 +176,7 @@ def validate_flatness(G: Graph, F: FlatnessPair,
     if not mid <= per:
         problems.append("X cap Y leaves the wall perimeter")
     if not lenient_pegs:
-        for p in P:
+        for p in sorted(P, key=vkey):
             if p in W.graph and W.graph.degree(p) != 2:
                 problems.append(f"peg {p} does not have degree 2 in the wall")
 

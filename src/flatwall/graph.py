@@ -154,7 +154,12 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def subgraph(self, vs: Iterable) -> "Graph":
+        """The subgraph induced by the vertices of vs that are vertices
+        here; the graph itself when that is all of them, as a graph never
+        changes."""
         keep = self._vertices.intersection(vs)
+        if len(keep) == len(self._vertices):
+            return self
         adj = {v: tuple(u for u in self._adj[v] if u in keep) for v in keep}
         edges = self._edges
         # each kept edge is met from both ends; one of the two is normalised
@@ -237,45 +242,41 @@ def bfs_path(adj: Dict, x, y) -> Tuple:
     raise NoPathError("vertices in different components", witness=[x, y])
 
 
-def articulation_points(G: Graph) -> FrozenSet:
-    """Cut vertices, by iterative lowpoint search."""
-    visited = set()
-    depth: Dict = {}
-    low: Dict = {}
-    out = set()
-    for root in G.vertex_set:
-        if root in visited:
-            continue
-        stack = [(root, None, iter(G.neighbors(root)))]
-        visited.add(root)
-        depth[root] = low[root] = 0
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    continue
-                if u in visited:
-                    low[v] = min(low[v], depth[u])
-                else:
-                    visited.add(u)
-                    depth[u] = low[u] = depth[v] + 1
-                    stack.append((u, v, iter(G.neighbors(u))))
-                    advanced = True
-                    break
-            if advanced:
-                continue
+def biconnected(G: Graph) -> bool:
+    """Whether G has three or more vertices, is connected and has no cut
+    vertex: one iterative lowpoint search on integer ids, from vertex 0.
+
+    A vertex p other than the root is a cut vertex iff some child v of p
+    in the search tree has low[v] >= depth[p]; the root iff it has two or
+    more children."""
+    if G.n < 3:
+        return False
+    ids = {v: i for i, v in enumerate(G._vertices)}
+    adj = [[ids[u] for u in ns] for ns in map(G._adj.__getitem__, ids)]
+    depth = [-1] * len(adj)
+    low = [0] * len(adj)
+    depth[0] = 0
+    stack = [(0, -1, iter(adj[0]))]
+    reached = 1
+    while stack:
+        v, parent, it = stack[-1]
+        for u in it:
+            if depth[u] < 0:
+                depth[u] = low[u] = depth[v] + 1
+                reached += 1
+                stack.append((u, v, iter(adj[u])))
+                break
+            if u != parent and depth[u] < low[v]:
+                low[v] = depth[u]
+        else:
             stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if parent == root:
-                    root_children += 1
-                elif low[v] >= depth[parent]:
-                    out.add(parent)
-        if root_children >= 2:
-            out.add(root)
-    return frozenset(out)
+            if parent > 0:
+                if low[v] >= depth[parent]:
+                    return False
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    # the root's children are the vertices at depth 1
+    return reached == len(adj) and sum(depth[u] == 1 for u in adj[0]) == 1
 
 
 # -- separations and contractions -----------------------------------------
@@ -445,14 +446,17 @@ class TreeDecomposition:
                 holding.setdefault(v, set()).add(k)
         if holding.keys() != G.vertex_set:
             problems.append("bags do not cover the vertex set")
-        for u, v in G.edge_set:
-            if holding.get(u, set()).isdisjoint(holding.get(v, ())):
-                problems.append(f"edge {u},{v} in no bag")
-                break
-        for v in G.vertex_set:
-            if v in holding and not _spans(tree, holding[v]):
-                problems.append(f"bags of {v} not connected in the tree")
-                break
+        # the ekey-least edge and the vkey-least vertex at fault are named
+        bare = [e for e in G.edge_set
+                if holding.get(e[0], set()).isdisjoint(holding.get(e[1], ()))]
+        if bare:
+            u, v = min(bare, key=ekey)
+            problems.append(f"edge {u},{v} in no bag")
+        split = [v for v in G.vertex_set
+                 if v in holding and not _spans(tree, holding[v])]
+        if split:
+            problems.append(f"bags of {min(split, key=vkey)} not connected "
+                            "in the tree")
         return problems
 
 

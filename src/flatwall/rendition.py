@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from .errors import InputError, InternalError
-from .graph import (Graph, articulation_points, cyclic_equal, ekey,
+from .graph import (Graph, biconnected, cyclic_equal, ekey,
                     max_vertex_disjoint_paths, min_vertex_cut, vkey)
 from .painting import Painting, validate_painting
 from .wall import fresh_names
@@ -23,25 +23,23 @@ from .wall import fresh_names
 
 def flap_union(flaps: Iterable[Graph]) -> Tuple[Set, Set]:
     """The vertex set and the edge set of the union of some flaps."""
-    vs: Set = set()
-    es: Set = set()
-    for g in flaps:
-        vs |= g.vertex_set
-        es |= g.edge_set
-    return vs, es
+    flaps = list(flaps)
+    return (set().union(*[g.vertex_set for g in flaps]),
+            set().union(*[g.edge_set for g in flaps]))
 
 
 class Rendition:
     """A painting with its flap map sigma and ground injection pi.
 
     Immutable after construction: the painting, sigma, pi and omega are
-    never changed. It keeps no memo of its own; the verdict of tightness
-    conditions (ii) and (iii) on each flap is kept on the flap `Graph`
-    (see `_flap_faults`), so renditions that share a flap under the
-    same boundary, as a tilt and its source do, check it once.
+    never changed. So what the checks read is built once, on first use,
+    and kept: one `_Index` of the cells (`_index`). The verdict of
+    tightness conditions (ii) and (iii) on each flap is kept on the flap
+    `Graph` (see `_flap_faults`), so renditions that share a flap under
+    the same boundary, as a tilt and its source do, check it once.
     """
 
-    __slots__ = ("painting", "sigma", "pi", "omega")
+    __slots__ = ("painting", "sigma", "pi", "omega", "_idx")
 
     def __init__(self, painting: Painting, sigma: Dict[object, Graph],
                  pi: Dict[object, object], omega: Sequence):
@@ -49,9 +47,10 @@ class Rendition:
         self.sigma = dict(sigma)
         self.pi = dict(pi)
         self.omega = tuple(omega)
+        self._idx: Optional[_Index] = None
 
     def pi_boundary(self, cid) -> FrozenSet:
-        return frozenset(self.pi[x] for x in self.painting.cells[cid])
+        return frozenset(map(self.pi.__getitem__, self.painting.cells[cid]))
 
     def union_graph(self) -> Graph:
         return Graph(*flap_union(self.sigma.values()))
@@ -66,6 +65,45 @@ class Rendition:
                 self.omega)
 
 
+class _Index:
+    """The cells a rendition's checks look at, from one pass over the cells
+    in cell order (sorted by str), each tuple in that order:
+
+    - `loose`: the cells whose flap is not exactly their pi-boundary; every
+      other flap is its boundary's vertices, as a single edge between two
+      ground vertices is;
+    - `open`: the cells whose flaps conditions (ii) and (iii) look at: all
+      but the single-edge flaps that hold their boundary;
+    - `wide`: the cells of three or more boundary nodes.
+
+    Only cell ids are kept, so the index of a large rendition stays small:
+    for the 5983 cells of a height-45 fixture, 718 are loose and open.
+    """
+
+    __slots__ = ("loose", "open", "wide")
+
+    def __init__(self, R: Rendition):
+        cells, sigma, image = R.painting.cells, R.sigma, R.pi.__getitem__
+        loose, opened, wide = [], [], []
+        for cid in sorted(sigma, key=str):
+            g, nodes = sigma[cid], cells[cid]
+            vs, b = g._vertices, frozenset(map(image, nodes))
+            if b != vs:
+                loose.append(cid)
+            if not (len(vs) == 2 and len(g._edges) == 1 and vs >= b):
+                opened.append(cid)
+            if len(nodes) > 2:
+                wide.append(cid)
+        self.loose, self.open, self.wide = (tuple(loose), tuple(opened),
+                                            tuple(wide))
+
+
+def _index(R: Rendition) -> _Index:
+    if R._idx is None:
+        R._idx = _Index(R)
+    return R._idx
+
+
 def validate_rendition(G: Graph, R: Rendition) -> List[str]:
     problems = validate_painting(R.painting)
     if problems:
@@ -74,11 +112,13 @@ def validate_rendition(G: Graph, R: Rendition) -> List[str]:
 
     if set(R.pi) != set(P.nodes):
         return ["pi must be defined on exactly the painting nodes"]
-    if len(set(R.pi.values())) != len(R.pi):
+    image = set(R.pi.values())
+    if len(image) != len(R.pi):
         problems.append("pi is not injective")
-    for x, v in R.pi.items():
-        if v not in G:
-            problems.append(f"pi({x}) = {v} is not a vertex of the graph")
+    if not image <= G.vertex_set:
+        for x, v in R.pi.items():
+            if v not in G:
+                problems.append(f"pi({x}) = {v} is not a vertex of the graph")
     if set(R.sigma) != set(P.cells):
         return problems + ["sigma must be defined on exactly the cells"]
 
@@ -92,33 +132,43 @@ def validate_rendition(G: Graph, R: Rendition) -> List[str]:
             f"(c.1) union of flaps differs from the graph: "
             f"missing {missing_v + missing_e}, extra {extra_v + extra_e}")
 
-    cids = sorted(R.sigma, key=str)
     if sum(g.m for g in R.sigma.values()) != len(union_e):
         seen_edges: Dict[Tuple, object] = {}
-        for cid in cids:
+        for cid in sorted(R.sigma, key=str):
             for e in R.sigma[cid].edges:
                 if e in seen_edges:
                     problems.append(f"(c.2) edge {e} in both cells "
                                     f"{seen_edges[e]} and {cid}")
                 seen_edges[e] = cid
 
-    owner: Dict[object, List] = {}
-    for cid in cids:
-        bnd = R.pi_boundary(cid)
-        for x in P.cells[cid]:
-            if R.pi[x] not in R.sigma[cid].vertex_set:
-                problems.append(
-                    f"(c.3) cell {cid}: pi boundary vertex {R.pi[x]} missing from flap")
-        for v in R.sigma[cid].vertex_set:
-            owner.setdefault(v, []).append((cid, v in bnd))
-    pos = {cid: i for i, cid in enumerate(cids)}
-    shared = [v for v, occ in owner.items()
-              if len(occ) > 1 and not all(b for _, b in occ)]
-    # reported by first owning cell, then in vertex order within it
-    for v in sorted(shared, key=lambda v: (pos[owner[v][0][0]], vkey(v))):
-        cells = [c for c, _ in owner[v]]
-        problems.append(
-            f"(c.4) vertex {v} shared by cells {cells} outside pi boundary")
+    # a cell whose flap is exactly its boundary breaks neither (c.3) nor
+    # (c.4); `held` lists the cells holding each vertex off their boundary
+    held: Dict[object, List] = {}
+    for cid in _index(R).loose:
+        bnd, vs = R.pi_boundary(cid), R.sigma[cid].vertex_set
+        if not bnd <= vs:
+            for x in P.cells[cid]:
+                if R.pi[x] not in vs:
+                    problems.append(f"(c.3) cell {cid}: pi boundary vertex "
+                                    f"{R.pi[x]} missing from flap")
+        for v in vs - bnd:
+            held.setdefault(v, []).append(cid)
+    # the cells with a ground vertex on their boundary are the rotation of
+    # its node; they share it if their flaps hold it
+    if not image.isdisjoint(held):
+        for x, v in R.pi.items():
+            if v in held:
+                held[v] += [c for c in P.rotations.get(x, ())
+                            if v in R.sigma[c].vertex_set]
+    shared = [v for v, owners in held.items() if len(owners) > 1]
+    if shared:
+        order = sorted(R.sigma, key=str)
+        pos = {c: i for i, c in enumerate(order)}.__getitem__
+        cells = {v: sorted(set(held[v]), key=pos) for v in shared}
+        # reported by first owning cell, then in vertex order within it
+        for v in sorted(shared, key=lambda v: (pos(cells[v][0]), vkey(v))):
+            problems.append(f"(c.4) vertex {v} shared by cells {cells[v]} "
+                            "outside pi boundary")
 
     outer_images = [R.pi[x] for x in P.outer]
     if set(outer_images) != set(R.omega):
@@ -144,96 +194,110 @@ def _loose_edges(G: Graph, R: Rendition) -> List[Tuple]:
     """Condition (i): the edges of G between two ground vertices that are
     not the whole flap of a cell, in ekey order."""
     image = set(R.pi.values())
-    edge_cells = {e for g in R.sigma.values() if g.n == 2 and g.m == 1
-                  for e in g.edge_set}
-    return sorted((e for e in G.edge_set
-                   if e[0] in image and e[1] in image and e not in edge_cells),
-                  key=ekey)
+    edge_flaps = set().union(*[g._edges for g in R.sigma.values() if
+                               len(g._edges) == 1 and len(g._vertices) == 2])
+    return sorted((e for e in G.edge_set - edge_flaps
+                   if e[0] in image and e[1] in image), key=ekey)
 
 
 def _flap_faults(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
     """Violations of conditions (ii) and (iii) by the flap g of cell cid
-    with the vkey-sorted boundary bnd. A clean verdict is kept on g; a
-    single edge is clean under any boundary among its ends, so it keeps
-    none."""
-    if g._clean_boundary == bnd or (g.n == 2 and g.m == 1
-                                    and g.vertex_set.issuperset(bnd)):
+    with the vkey-sorted boundary bnd. A clean verdict is kept on g."""
+    if g._clean_boundary == bnd:
         return [], []
-    ii, iii = [], []
-    comp_of = {}
-    for i, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = i
-    for a, b in itertools.combinations(bnd, 2):
-        if comp_of.get(a) != comp_of.get(b):
-            ii.append((cid, a, b))
-            break
-    bset = set(bnd)
-    for comp in g.remove_vertices(bnd).components():
-        nb = {w for v in comp for w in g.neighbors(v) if w in bset}
-        if nb and nb != bset:
-            iii.append((cid, tuple(sorted(comp, key=vkey))))
+    ii, iii = _flap_search(cid, g, bnd)
     if not ii and not iii:
         g._clean_boundary = bnd
     return ii, iii
 
 
-def _flaps_at_fault(R: Rendition, bnds: Dict) -> Tuple[List, List]:
+def _flap_search(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
+    """`_flap_faults` without the verdict kept on g, by two searches of
+    g's adjacency: (ii) labels the part of g each boundary vertex reaches
+    by the first boundary vertex there; (iii) walks the parts of g minus
+    bnd, reported in the order of their least vertices, as
+    `Graph.components` would list them."""
+    adj = g._adj
+    label: Dict = {}
+    for i, a in enumerate(bnd):
+        if a in adj and a not in label:
+            label[a] = i
+            todo = [a]
+            for v in todo:              # grows while it is read
+                for w in adj[v]:
+                    if w not in label:
+                        label[w] = i
+                        todo.append(w)
+    ii = next(([(cid, a, b)] for a, b in itertools.combinations(bnd, 2)
+               if label.get(a) != label.get(b)), [])
+    iii = []
+    bset = set(bnd)
+    seen = set(bset)
+    for v in adj:
+        if v in seen:
+            continue
+        seen.add(v)
+        part, nb = [v], set()
+        for x in part:
+            for w in adj[x]:
+                if w in bset:
+                    nb.add(w)
+                elif w not in seen:
+                    seen.add(w)
+                    part.append(w)
+        if nb and nb != bset:
+            iii.append((cid, tuple(sorted(part, key=vkey))))
+    iii.sort(key=lambda fault: vkey(fault[1][0]))
+    return ii, iii
+
+
+def _flaps_at_fault(R: Rendition) -> Tuple[List, List]:
     """Conditions (ii) and (iii) over all cells, in cell order."""
     ii, iii = [], []
-    for cid, bnd in bnds.items():
-        faults = _flap_faults(cid, R.sigma[cid], tuple(sorted(bnd, key=vkey)))
+    for cid in _index(R).open:
+        faults = _flap_faults(cid, R.sigma[cid],
+                              tuple(sorted(R.pi_boundary(cid), key=vkey)))
         ii += faults[0]
         iii += faults[1]
     return ii, iii
 
 
-def _shared_boundaries(R: Rendition, bnds: Dict) -> List[Tuple]:
+def _shared_boundaries(R: Rendition) -> List[Tuple]:
     """Condition (iv): the groups of two or more cells, each in cell order,
     whose flaps reach beyond one and the same boundary."""
     by_bnd: Dict[FrozenSet, List] = {}
-    for cid, bnd in bnds.items():
-        if bnd != R.sigma[cid].vertex_set:
-            by_bnd.setdefault(bnd, []).append(cid)
+    for cid in _index(R).loose:
+        by_bnd.setdefault(R.pi_boundary(cid), []).append(cid)
     return [tuple(cids) for cids in by_bnd.values() if len(cids) > 1]
 
 
-def _unlinked_cells(G: Graph, R: Rendition, bnds: Dict) -> List:
+def _unlinked_cells(G: Graph, R: Rendition) -> List:
     """Condition (v): the cells whose boundary G cannot link to the outer
     cycle by one disjoint path per boundary node, in cell order."""
     omega_set = set(R.omega)
     if not omega_set:
         return []
-    out = []
     # a 2-connected graph links any two boundary vertices to the outer
-    # cycle by disjoint paths, so only arity-3 cells need a flow there
-    two_conn = None
-    for cid, bnd in bnds.items():
-        k = len(R.painting.cells[cid])
+    # cycle by disjoint paths, so only wide cells need a flow there
+    if len(omega_set) >= 2 and biconnected(G):
+        cids = _index(R).wide
+    else:
+        cids = sorted(R.sigma, key=str)
+    out = []
+    for cid in cids:
+        bnd, k = R.pi_boundary(cid), len(R.painting.cells[cid])
         if len(bnd & omega_set) >= k:
             continue            # the boundary vertices themselves are paths
-        if k <= 2 and len(omega_set) >= 2:
-            if two_conn is None:
-                two_conn = (G.n >= 3 and G.connected()
-                            and not articulation_points(G))
-            if two_conn:
-                continue
         if len(max_vertex_disjoint_paths(G, bnd, omega_set)) < k:
             out.append(cid)
     return out
 
 
-def _boundaries(R: Rendition) -> Dict:
-    """Each cell's pi-boundary, in cell order."""
-    return {cid: R.pi_boundary(cid) for cid in sorted(R.sigma, key=str)}
-
-
 def check_tightness(G: Graph, R: Rendition) -> TightnessReport:
-    bnds = _boundaries(R)
-    ii, iii = _flaps_at_fault(R, bnds)
+    ii, iii = _flaps_at_fault(R)
     return TightnessReport({"i": _loose_edges(G, R), "ii": ii, "iii": iii,
-                            "iv": _shared_boundaries(R, bnds),
-                            "v": _unlinked_cells(G, R, bnds)})
+                            "iv": _shared_boundaries(R),
+                            "v": _unlinked_cells(G, R)})
 
 
 # -- tightening ------------------------------------------------------------
@@ -484,16 +548,12 @@ def tighten(G: Graph, R: Rendition, report: Optional[List[str]] = None) -> Rendi
         for fault, classes in ((0, lambda g, bnd: g.components()),
                                (1, _attachments)):
             R1 = w.rendition()
-            bnds = _boundaries(R1)
-            at_fault = _flaps_at_fault(R1, bnds)[fault]
+            at_fault = _flaps_at_fault(R1)[fault]
             for cid in dict.fromkeys(f[0] for f in at_fault):
-                _split_cell(w, cid, classes(w.sigma[cid], bnds[cid]))
+                _split_cell(w, cid, classes(w.sigma[cid], R1.pi_boundary(cid)))
             changed |= bool(at_fault)
-        R1 = w.rendition()
-        changed |= _step_iv(w, _shared_boundaries(R1, _boundaries(R1)))
-        R1 = w.rendition()
-        changed |= _step_v(G, w, _unlinked_cells(G, R1, _boundaries(R1)),
-                           notes)
+        changed |= _step_iv(w, _shared_boundaries(w.rendition()))
+        changed |= _step_v(G, w, _unlinked_cells(G, w.rendition()), notes)
         if not changed:
             break
     else:

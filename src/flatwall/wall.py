@@ -393,9 +393,28 @@ class Wall:
                 or not all(map(self.seg_paths.__contains__, T.edges))):
             problems.append("subdivision paths do not match template edges")
             return problems
+        # with distinct branch vertices at the ends of each path and
+        # subdivision vertices used once each off them, no path revisits a
+        # vertex and no edge is used twice, so the scan below has nothing
+        # to report
+        bc = self.branch_coords
+        inner = [v for p in self.seg_paths.values() for v in p[1:-1]]
+        if not (len(imgs) == len(bc) and imgs.isdisjoint(inner)
+                and len(set(inner)) == len(inner)
+                and all((p[0], p[-1]) in ((bc[a], bc[b]), (bc[b], bc[a]))
+                        for (a, b), p in self.seg_paths.items())):
+            problems += self._segment_problems(imgs)
+        adj, deg = self._graph._adj, T.degree
+        for c, v in bc.items():
+            if v in adj and len(adj[v]) != deg[c]:
+                problems.append(f"vertex {v} degree {len(adj[v])} "
+                                f"!= template {deg[c]}")
+        return problems
+
+    def _segment_problems(self, imgs) -> List[str]:
+        problems = []
         seen_edges = set()
         seen_internal = set()
-        deg = T.degree
         for (a, b), p in self.seg_paths.items():
             ends = {p[0], p[-1]}
             if ends != {self.branch_coords[a], self.branch_coords[b]}:
@@ -411,9 +430,6 @@ class Wall:
                 if v in seen_internal or v in imgs:
                     problems.append(f"subdivision vertex {v} reused")
                 seen_internal.add(v)
-        for c, v in self.branch_coords.items():
-            if v in self._graph and self._graph.degree(v) != deg[c]:
-                problems.append(f"vertex {v} degree {self._graph.degree(v)} != template {deg[c]}")
         return problems
 
     def __eq__(self, other):

@@ -28,7 +28,15 @@ are each kept as the reference for a faster library method:
 - `exact_treewidth`, the elimination-ordering subset DP with its
   decomposition (built with the library's `_eliminate`), for the
   brute-force `treewidth_by_elimination` to check; the library needs no
-  exact treewidth, because the compass precondition n - 1 > z is exact.
+  exact treewidth, because the compass precondition n - 1 > z is exact;
+- the per-cell scans of the cold check (`validate_rendition_by_scan`,
+  `check_tightness_by_scan`, `validate_flatness_by_scan`,
+  `wall_problems_by_scan`), which compute every cell's pi-boundary, list
+  the owning cells of every flap vertex, search each flap through
+  `Graph.components`, find cut vertices with
+  `articulation_points_by_search` and normalise every wall edge, for the
+  checks that read one index of the cells per rendition. They keep no
+  memo, and name pegs of the wrong degree in `vkey` order.
 """
 from __future__ import annotations
 
@@ -798,3 +806,275 @@ def recognize_wall_by_search(G: Graph, r: int):
             seg_paths[(ta[j], ta[j + 1])] = hp[cut[j]:cut[j + 1] + 1]
     W = Wall(r, branch_coords, seg_paths)
     return None if W.validate() else W
+
+
+# -- the per-cell rendition and flatness validators --------------------------
+
+
+def articulation_points_by_search(G: Graph):
+    """Cut vertices, by iterative lowpoint search over vertex ids."""
+    visited = set()
+    depth = {}
+    low = {}
+    out = set()
+    for root in G.vertex_set:
+        if root in visited:
+            continue
+        stack = [(root, None, iter(G.neighbors(root)))]
+        visited.add(root)
+        depth[root] = low[root] = 0
+        root_children = 0
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for u in it:
+                if u == parent:
+                    continue
+                if u in visited:
+                    low[v] = min(low[v], depth[u])
+                else:
+                    visited.add(u)
+                    depth[u] = low[u] = depth[v] + 1
+                    stack.append((u, v, iter(G.neighbors(u))))
+                    advanced = True
+                    break
+            if advanced:
+                continue
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[v])
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= depth[parent]:
+                    out.add(parent)
+        if root_children >= 2:
+            out.add(root)
+    return frozenset(out)
+
+
+def validate_rendition_by_scan(G: Graph, R):
+    """`rendition.validate_rendition` by a scan that computes every cell's
+    pi-boundary and lists the owning cells of every flap vertex."""
+    from flatwall.graph import cyclic_equal, vkey
+    from flatwall.painting import validate_painting
+    from flatwall.rendition import flap_union
+
+    problems = validate_painting(R.painting)
+    if problems:
+        return [f"painting: {p}" for p in problems]
+    P = R.painting
+
+    if set(R.pi) != set(P.nodes):
+        return ["pi must be defined on exactly the painting nodes"]
+    if len(set(R.pi.values())) != len(R.pi):
+        problems.append("pi is not injective")
+    for x, v in R.pi.items():
+        if v not in G:
+            problems.append(f"pi({x}) = {v} is not a vertex of the graph")
+    if set(R.sigma) != set(P.cells):
+        return problems + ["sigma must be defined on exactly the cells"]
+
+    union_v, union_e = flap_union(R.sigma.values())
+    if union_v != G.vertex_set or union_e != G.edge_set:
+        missing_v = sorted(G.vertex_set - union_v, key=vkey)
+        missing_e = sorted(G.edge_set - union_e)
+        extra_v = sorted(union_v - G.vertex_set, key=vkey)
+        extra_e = sorted(union_e - G.edge_set)
+        problems.append(
+            f"(c.1) union of flaps differs from the graph: "
+            f"missing {missing_v + missing_e}, extra {extra_v + extra_e}")
+
+    cids = sorted(R.sigma, key=str)
+    if sum(g.m for g in R.sigma.values()) != len(union_e):
+        seen_edges = {}
+        for cid in cids:
+            for e in R.sigma[cid].edges:
+                if e in seen_edges:
+                    problems.append(f"(c.2) edge {e} in both cells "
+                                    f"{seen_edges[e]} and {cid}")
+                seen_edges[e] = cid
+
+    owner = {}
+    for cid in cids:
+        bnd = frozenset(R.pi[x] for x in P.cells[cid])
+        for x in P.cells[cid]:
+            if R.pi[x] not in R.sigma[cid].vertex_set:
+                problems.append(
+                    f"(c.3) cell {cid}: pi boundary vertex {R.pi[x]} missing from flap")
+        for v in R.sigma[cid].vertex_set:
+            owner.setdefault(v, []).append((cid, v in bnd))
+    pos = {cid: i for i, cid in enumerate(cids)}
+    shared = [v for v, occ in owner.items()
+              if len(occ) > 1 and not all(b for _, b in occ)]
+    # reported by first owning cell, then in vertex order within it
+    for v in sorted(shared, key=lambda v: (pos[owner[v][0][0]], vkey(v))):
+        cells = [c for c, _ in owner[v]]
+        problems.append(
+            f"(c.4) vertex {v} shared by cells {cells} outside pi boundary")
+
+    outer_images = [R.pi[x] for x in P.outer]
+    if set(outer_images) != set(R.omega):
+        problems.append("(c.5) outer nodes do not map onto the boundary cycle")
+    elif not cyclic_equal(outer_images, list(R.omega)):
+        problems.append("(c.5) boundary cyclic order mismatch")
+    return problems
+
+
+def _flap_faults_by_components(cid, g: Graph, bnd: Tuple):
+    """Violations of tightness conditions (ii) and (iii) by the flap g of
+    cell cid with the vkey-sorted boundary bnd, from the components of g
+    and of g minus bnd; a single edge holding bnd is clean."""
+    from flatwall.graph import vkey
+
+    if g.n == 2 and g.m == 1 and g.vertex_set.issuperset(bnd):
+        return [], []
+    ii, iii = [], []
+    comp_of = {}
+    for i, comp in enumerate(g.components()):
+        for v in comp:
+            comp_of[v] = i
+    for a, b in itertools.combinations(bnd, 2):
+        if comp_of.get(a) != comp_of.get(b):
+            ii.append((cid, a, b))
+            break
+    bset = set(bnd)
+    for comp in g.remove_vertices(bnd).components():
+        nb = {w for v in comp for w in g.neighbors(v) if w in bset}
+        if nb and nb != bset:
+            iii.append((cid, tuple(sorted(comp, key=vkey))))
+    return ii, iii
+
+
+def check_tightness_by_scan(G: Graph, R):
+    """The violations of `rendition.check_tightness`, condition by
+    condition, by a scan over every cell with its pi-boundary, with cut
+    vertices found by `articulation_points_by_search`."""
+    from flatwall.graph import ekey, max_vertex_disjoint_paths, vkey
+
+    bnds = {cid: frozenset(R.pi[x] for x in R.painting.cells[cid])
+            for cid in sorted(R.sigma, key=str)}
+    image = set(R.pi.values())
+    edge_cells = {e for g in R.sigma.values() if g.n == 2 and g.m == 1
+                  for e in g.edge_set}
+    loose = sorted((e for e in G.edge_set
+                    if e[0] in image and e[1] in image
+                    and e not in edge_cells), key=ekey)
+    ii, iii = [], []
+    for cid, bnd in bnds.items():
+        faults = _flap_faults_by_components(cid, R.sigma[cid],
+                                            tuple(sorted(bnd, key=vkey)))
+        ii += faults[0]
+        iii += faults[1]
+    by_bnd = {}
+    for cid, bnd in bnds.items():
+        if bnd != R.sigma[cid].vertex_set:
+            by_bnd.setdefault(bnd, []).append(cid)
+    shared = [tuple(cids) for cids in by_bnd.values() if len(cids) > 1]
+    omega_set = set(R.omega)
+    unlinked = []
+    two_conn = None
+    for cid, bnd in bnds.items():
+        if not omega_set:
+            break
+        k = len(R.painting.cells[cid])
+        if len(bnd & omega_set) >= k:
+            continue
+        if k <= 2 and len(omega_set) >= 2:
+            if two_conn is None:
+                two_conn = (G.n >= 3 and G.connected()
+                            and not articulation_points_by_search(G))
+            if two_conn:
+                continue
+        if len(max_vertex_disjoint_paths(G, bnd, omega_set)) < k:
+            unlinked.append(cid)
+    return {"i": loose, "ii": ii, "iii": iii, "iv": shared, "v": unlinked}
+
+
+def validate_flatness_by_scan(G: Graph, F, lenient_pegs: bool = False):
+    """`flatness.validate_flatness` by `validate_rendition_by_scan` and
+    `check_tightness_by_scan` on a copy of G[Y], without the pair's memo."""
+    from flatwall.graph import cyclic_equal, ekey, is_separation, vkey
+
+    problems = []
+    W = F.wall
+    wall_bad = W.validate()
+    problems.extend(f"wall: {p}" for p in wall_bad)
+
+    if not is_separation(G, F.X, F.Y):
+        problems.append("(X, Y) is not a separation of G")
+    if not W.graph.vertex_set <= F.Y:
+        problems.append("wall has vertices outside Y")
+    missing = W.graph.edge_set - G.edge_set
+    if missing:
+        u, v = min(missing, key=ekey)
+        problems.append(f"wall edge {u}-{v} missing from G")
+
+    P, C = F.pegs_corners.pegs, F.pegs_corners.corners
+    mid = F.X & F.Y
+    per = W.perimeter_set if not wall_bad else frozenset()
+    if not C <= P:
+        problems.append("corners are not a subset of pegs")
+    if not P <= mid:
+        problems.append("pegs leave X cap Y")
+    if not mid <= per:
+        problems.append("X cap Y leaves the wall perimeter")
+    if not lenient_pegs:
+        for p in sorted(P, key=vkey):
+            if p in W.graph and W.graph.degree(p) != 2:
+                problems.append(f"peg {p} does not have degree 2 in the wall")
+
+    R = F.rendition
+    H = Graph(G.vertex_set & F.Y,
+              [e for e in G.edge_set if e[0] in F.Y and e[1] in F.Y])
+    problems.extend(f"rendition: {p}"
+                    for p in validate_rendition_by_scan(H, R))
+    if not problems:
+        want = tuple(v for v in W.perimeter if v in mid)
+        if not cyclic_equal(R.omega, want):
+            problems.append("omega disagrees with the perimeter order of X cap Y")
+        for cond, items in sorted(check_tightness_by_scan(H, R).items()):
+            if items:
+                problems.append(f"tightness ({cond}): {items[:3]}")
+    return problems
+
+
+def wall_problems_by_scan(W):
+    """`Wall.validate` by a scan of every edge and subdivision vertex of
+    every subdivision path, normalising each edge."""
+    from flatwall.graph import norm_edge
+    from flatwall.wall import _template
+
+    problems = []
+    T = _template(W.height)
+    if W.branch_coords.keys() != T.degree.keys():
+        problems.append("branch coordinate set differs from template")
+        return problems
+    imgs = set(W.branch_coords.values())
+    if len(imgs) != len(W.branch_coords):
+        problems.append("branch coordinate map is not injective")
+    if (len(W.seg_paths) != len(T.edges)
+            or not all(map(W.seg_paths.__contains__, T.edges))):
+        problems.append("subdivision paths do not match template edges")
+        return problems
+    seen_edges = set()
+    seen_internal = set()
+    deg = T.degree
+    for (a, b), p in W.seg_paths.items():
+        ends = {p[0], p[-1]}
+        if ends != {W.branch_coords[a], W.branch_coords[b]}:
+            problems.append(f"segment {a}-{b} endpoints mismatch")
+        if len(set(p)) != len(p):
+            problems.append(f"segment {a}-{b} revisits a vertex")
+        for e in zip(p, p[1:]):
+            key = norm_edge(*e)
+            if key in seen_edges:
+                problems.append(f"edge {key} used by two segments")
+            seen_edges.add(key)
+        for v in p[1:-1]:
+            if v in seen_internal or v in imgs:
+                problems.append(f"subdivision vertex {v} reused")
+            seen_internal.add(v)
+    for c, v in W.branch_coords.items():
+        if v in W.graph and W.graph.degree(v) != deg[c]:
+            problems.append(f"vertex {v} degree {W.graph.degree(v)} != template {deg[c]}")
+    return problems

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall.errors import CapacityError, InputError, NoPathError
-from flatwall.graph import (Graph, TreeDecomposition, articulation_points,
+from flatwall.graph import (Graph, TreeDecomposition, biconnected,
                             is_separation,
                             max_vertex_disjoint_paths, min_fill_decomposition,
                             min_vertex_cut, minor_model, norm_edge, vkey)
 
 import oracles
-from oracles import exact_treewidth
+from oracles import articulation_points_by_search, exact_treewidth
 
 
 def k(n):
@@ -120,7 +120,8 @@ def test_cut_vertices_and_connectivity_match_brute_force(ids, data):
             if _component_count(G.vertex_set - {v},
                                 [e for e in G.edge_set if v not in e])
             > count - (G.degree(v) == 0)}
-    assert articulation_points(G) == cuts
+    assert articulation_points_by_search(G) == cuts
+    assert biconnected(G) == (G.n >= 3 and count == 1 and not cuts)
 
 
 def test_bools_and_loops_are_rejected():
@@ -430,3 +431,36 @@ def test_disjoint_paths_match_nx_connectivity(seed):
     for p in paths:
         assert not (set(p) & used)
         used |= set(p)
+
+
+def test_subgraph_on_every_vertex_is_the_graph():
+    G = grid(3, 3)
+    assert G.subgraph(G.vertex_set) is G
+    assert G.subgraph(list(G.vertices) + ["elsewhere"]) is G
+    assert G.remove_vertices(()) is G
+    H = G.subgraph(G.vertices[1:])
+    assert H is not G and H.n == G.n - 1
+    assert H.edge_set == {e for e in G.edge_set if G.vertices[0] not in e}
+
+
+def test_decomposition_faults_are_named_by_least_key():
+    # an 8-cycle in two bags misses two edges; the ekey-least is named
+    vs = [f"v{i}" for i in range(8)]
+    C8 = Graph(vs, zip(vs, vs[1:] + vs[:1]))
+    td = TreeDecomposition({0: vs[:4], 1: vs[4:]}, [(0, 1)])
+    assert td.validate(C8) == ["edge v0,v7 in no bag"]
+    # v0, v1 and v2 sit in the two end bags of a path, not in the middle
+    # one; the vkey-least of them is named
+    td = TreeDecomposition({0: vs, 1: vs[3:], 2: vs[:3]}, [(0, 1), (1, 2)])
+    assert td.validate(C8) == ["bags of v0 not connected in the tree"]
+
+
+def test_biconnected_sees_a_cut_vertex_at_the_root():
+    # two triangles on one vertex: whichever vertex the search starts from,
+    # the shared one cuts the graph
+    for center in range(5):
+        a, b, c, d = (v for v in range(5) if v != center)
+        G = Graph(range(5), [(center, a), (center, b), (a, b),
+                             (center, c), (center, d), (c, d)])
+        assert not biconnected(G)
+        assert biconnected(G.add_edges([(a, c)]))
