@@ -45,9 +45,10 @@ class FlatnessPair:
     - "untidy": the untidy cells (`untidy_cells`);
     - ("classes", cycle edges): the classes of the cells a cycle runs
       through or encloses (`classify_cells`); each map covers the cycle's
-      influence only, never the whole painting;
-    - ("validated", G, lenient_pegs): the violations
-      `validate_flatness` found against the graph G, keyed by its content.
+      influence only, never the whole painting.
+
+    `validate_flatness` keeps no verdict here: no workload checks one pair
+    against one graph twice, so each call checks it again from scratch.
     """
 
     __slots__ = ("wall", "X", "Y", "pegs_corners", "rendition", "_memo")
@@ -87,26 +88,12 @@ class CellClass:
     untidy: bool
 
 
-@dataclass(frozen=True)
-class Flap:
-    cell: object
-    graph: Graph
-    base: FrozenSet
-    trivial: bool
-
-
-def flaps(F: FlatnessPair) -> Dict[object, Flap]:
+def short_edges(F: FlatnessPair) -> Dict[Tuple, object]:
+    """The single-edge flaps between two ground vertices: each one's edge
+    mapped to its cell, in sigma order."""
     ground = F.ground()
-    out = {}
-    for cid, g in F.rendition.sigma.items():
-        base = g.vertex_set & ground
-        trivial = len(base) == 2 and g.n == 2 and g.m == 1
-        out[cid] = Flap(cid, g, base, trivial)
-    return out
-
-
-def short_edges(F: FlatnessPair) -> FrozenSet:
-    return frozenset(f.graph.edges[0] for f in flaps(F).values() if f.trivial)
+    return {g.edges[0]: cid for cid, g in F.rendition.sigma.items()
+            if g.n == 2 and g.m == 1 and g.vertex_set <= ground}
 
 
 def untidy_vertices(F: FlatnessPair, cid) -> Set:
@@ -148,10 +135,6 @@ def validate_flatness(G: Graph, F: FlatnessPair,
     Rerouted walls may carry pegs on 3-branch vertices; for those only the
     chain C <= P <= X cap Y <= V(D(W)) is enforced.
     """
-    memo_key = ("validated", G, lenient_pegs)
-    got = F._memo.get(memo_key)
-    if got is not None:
-        return list(got)
     problems = []
     W = F.wall
     wall_bad = W.validate()
@@ -192,7 +175,6 @@ def validate_flatness(G: Graph, F: FlatnessPair,
             for cond, items in sorted(rep.violations.items()):
                 if items:
                     problems.append(f"tightness ({cond}): {items[:3]}")
-    F._memo[memo_key] = tuple(problems)
     return problems
 
 
@@ -310,7 +292,7 @@ def is_regular(F: FlatnessPair) -> bool:
 
 
 PROFILES = ("base", "with-flaps", "with-untidy", "with-untidy2",
-            "with-marginal", "with-external", "combined", "non-well-aligned")
+            "with-marginal", "with-external", "combined")
 
 
 class _Builder:
@@ -602,8 +584,6 @@ def generate_fixture(seed: int, r: int,
     """Deterministic (graph, flatness pair) fixture; profile plants defects."""
     if profile not in PROFILES:
         raise InputError("unknown fixture profile", witness=profile)
-    if profile == "non-well-aligned":
-        return _non_well_aligned_fixture(seed, r)
     rng = random.Random((seed, r, profile).__repr__())
     T = _template(r)
 
@@ -665,13 +645,3 @@ def generate_fixture(seed: int, r: int,
     if bad:
         raise InternalError("generated fixture fails validation", witness=bad)
     return G, F
-
-
-def _non_well_aligned_fixture(seed: int, r: int) -> Tuple[Graph, FlatnessPair]:
-    """A pair whose leveling admits no ground-fixing wall representation.
-
-    Built from the marginal profile: the marginal cell replaces a perimeter
-    edge by a path through a flap vertex of degree 3, which breaks the
-    subdivision correspondence the leveling would need.
-    """
-    return generate_fixture(seed, r, "with-marginal")

@@ -66,19 +66,13 @@ class Graph:
     No vertex, edge or adjacency tuple changes after construction, so the
     derived graphs (`subgraph`, `remove_vertices`, `remove_edges`, `union`)
     are read off this graph's normalised edges and sorted adjacency tuples
-    instead of being built from scratch. One memo slot:
-
-    - `_clean_boundary`: the boundary, as a vkey-sorted tuple, for which
-      `rendition._flap_faults` (behind `check_tightness` and `tighten`)
-      found this graph, as a flap, to satisfy tightness conditions (ii)
-      and (iii); None until then.
+    instead of being built from scratch. A graph keeps no derived state.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_clean_boundary")
+    __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = (), *,
                  _adj: Optional[Dict] = None):
-        self._clean_boundary = None
         if _adj is not None:
             # derived from a parent graph: frozensets of its normalised
             # edges and vertices, and its adjacency tuples restricted to them

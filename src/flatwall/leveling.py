@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .errors import CapacityError, InputError, InternalError
-from .flatness import FlatnessPair, flaps, is_regular, short_edges
+from .flatness import FlatnessPair, is_regular, short_edges
 from .graph import Graph, bfs_path, cyclic_equal, norm_edge, vkey
 from .painting import outer_face
 from .wall import Wall
@@ -67,7 +67,7 @@ class Representation:
 
 
 def w_bullet(F: FlatnessPair) -> Graph:
-    return _bullet_wall(F).graph
+    return _bullet_wall(F, short_edges(F)).graph
 
 
 def leveling_graph(F: FlatnessPair) -> Leveling:
@@ -78,11 +78,12 @@ def leveling_graph(F: FlatnessPair) -> Leveling:
     return Leveling(g, F.ground(), vf, tuple(R.omega))
 
 
-def _bullet_wall(F: FlatnessPair) -> Wall:
-    """The wall carrying the extra subdivision vertices of w_bullet."""
+def _bullet_wall(F: FlatnessPair, trivial: Dict[Tuple, object]) -> Wall:
+    """The wall carrying the extra subdivision vertices of w_bullet, where
+    trivial is `short_edges(F)`."""
     W = F.wall
     wedges = W.graph.edge_set
-    short = {e for e in short_edges(F) if e in wedges}
+    short = {e for e in trivial if e in wedges}
     segs = {}
     for key, p in W.seg_paths.items():
         out = [p[0]]
@@ -107,11 +108,10 @@ class _Index:
 
     __slots__ = ("trivial", "boundary", "at", "owner")
 
-    def __init__(self, F: FlatnessPair):
+    def __init__(self, F: FlatnessPair, trivial: Dict[Tuple, object]):
         R = F.rendition
-        # edge of a trivial flap -> its cell
-        self.trivial = {f.graph.edges[0]: cid for cid, f in flaps(F).items()
-                        if f.trivial}
+        # edge of a trivial flap -> its cell (`short_edges`)
+        self.trivial = trivial
         # cell -> pi of its boundary
         self.boundary = {cid: R.pi_boundary(cid) for cid in R.sigma}
         # ground vertex -> the cells with it on their boundary, str order
@@ -257,12 +257,13 @@ def _search(F: FlatnessPair, limit: int) -> Optional[Representation]:
     built here once, and an explicit stack of option iterators replaces
     recursion, so the depth is not bounded by the number of components.
     """
-    Wb_wall = _bullet_wall(F)
+    trivial = short_edges(F)
+    Wb_wall = _bullet_wall(F, trivial)
     Wb = Wb_wall.graph
     comps, bad = _components_of_bullet(F, Wb)
     if comps is None:
         return None
-    ix = _Index(F)
+    ix = _Index(F, trivial)
     cands = [(comp, _candidates(ix, comp)) for comp in comps]
     cands.sort(key=lambda t: len(t[1]))
     ground = F.ground()

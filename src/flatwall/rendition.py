@@ -33,10 +33,9 @@ class Rendition:
 
     Immutable after construction: the painting, sigma, pi and omega are
     never changed. So what the checks read is built once, on first use,
-    and kept: one `_Index` of the cells (`_index`). The verdict of
-    tightness conditions (ii) and (iii) on each flap is kept on the flap
-    `Graph` (see `_flap_faults`), so renditions that share a flap under
-    the same boundary, as a tilt and its source do, check it once.
+    and kept: one `_Index` of the cells (`_index`). The flaps are not
+    marked: conditions (ii) and (iii) search every open flap on each
+    check, even one that another rendition shares.
     """
 
     __slots__ = ("painting", "sigma", "pi", "omega", "_idx")
@@ -200,23 +199,13 @@ def _loose_edges(G: Graph, R: Rendition) -> List[Tuple]:
                    if e[0] in image and e[1] in image), key=ekey)
 
 
-def _flap_faults(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
-    """Violations of conditions (ii) and (iii) by the flap g of cell cid
-    with the vkey-sorted boundary bnd. A clean verdict is kept on g."""
-    if g._clean_boundary == bnd:
-        return [], []
-    ii, iii = _flap_search(cid, g, bnd)
-    if not ii and not iii:
-        g._clean_boundary = bnd
-    return ii, iii
-
-
 def _flap_search(cid, g: Graph, bnd: Tuple) -> Tuple[List, List]:
-    """`_flap_faults` without the verdict kept on g, by two searches of
-    g's adjacency: (ii) labels the part of g each boundary vertex reaches
-    by the first boundary vertex there; (iii) walks the parts of g minus
-    bnd, reported in the order of their least vertices, as
-    `Graph.components` would list them."""
+    """Violations of conditions (ii) and (iii) by the flap g of cell cid
+    with the vkey-sorted boundary bnd, by two searches of g's adjacency:
+    (ii) labels the part of g each boundary vertex reaches by the first
+    boundary vertex there; (iii) walks the parts of g minus bnd, reported
+    in the order of their least vertices, as `Graph.components` would
+    list them."""
     adj = g._adj
     label: Dict = {}
     for i, a in enumerate(bnd):
@@ -255,7 +244,7 @@ def _flaps_at_fault(R: Rendition) -> Tuple[List, List]:
     """Conditions (ii) and (iii) over all cells, in cell order."""
     ii, iii = [], []
     for cid in _index(R).open:
-        faults = _flap_faults(cid, R.sigma[cid],
+        faults = _flap_search(cid, R.sigma[cid],
                               tuple(sorted(R.pi_boundary(cid), key=vkey)))
         ii += faults[0]
         iii += faults[1]

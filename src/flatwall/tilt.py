@@ -431,7 +431,7 @@ def _repair_one(G: Graph, F: FlatnessPair, cid) -> FlatnessPair:
     through = list(reversed(legs[x])) + list(legs[y])[1:]
 
     if W.graph.degree(z) == 3:
-        cz = W.coord_of(z)
+        cz = {v: c for c, v in W.branch_coords.items()}.get(z)
         if cz is None:
             raise InternalError("3-branch vertex without a coordinate",
                                 witness=z)

@@ -269,10 +269,12 @@ class Wall:
     - "perimeter", "perimeter_set", "perimeter_edges": D(W) as a cyclic
       vertex sequence, its vertex set and its normalised edge set;
     - "problems": what `validate` found.
+
+    The inverse of `branch_coords` is not kept: each wall surgery in
+    `tilt` that needs a vertex's coordinate builds it once, for that wall.
     """
 
-    __slots__ = ("height", "branch_coords", "seg_paths", "_graph", "_vmap",
-                 "_memo")
+    __slots__ = ("height", "branch_coords", "seg_paths", "_graph", "_memo")
 
     def __init__(self, height: int, branch_coords: Dict[Coord, object],
                  seg_paths: Dict[Tuple[Coord, Coord], Sequence], *,
@@ -289,17 +291,11 @@ class Wall:
                 edges.extend(zip(p, p[1:]))
             graph = Graph(self.branch_coords.values(), edges)
         self._graph = graph
-        self._vmap = None
         self._memo: Dict = {}
 
     @property
     def graph(self) -> Graph:
         return self._graph
-
-    def coord_of(self, v) -> Optional[Coord]:
-        if self._vmap is None:
-            self._vmap = {w: c for c, w in self.branch_coords.items()}
-        return self._vmap.get(v)
 
     def expand(self, coords: Sequence[Coord]) -> Tuple:
         """Concatenate subdivision paths along a template coordinate walk."""

@@ -36,7 +36,7 @@ are each kept as the reference for a faster library method:
   `Graph.components`, find cut vertices with
   `articulation_points_by_search` and normalise every wall edge, for the
   checks that read one index of the cells per rendition. They keep no
-  memo, and name pegs of the wrong degree in `vkey` order.
+  index, and name pegs of the wrong degree in `vkey` order.
 """
 from __future__ import annotations
 
@@ -433,11 +433,10 @@ def candidates_by_scan(F, comp):
     """`leveling._candidates` by a scan over every cell of the rendition:
     the own flap first, then every other cell whose boundary holds all the
     attachments, in `sorted(sigma, key=str)` order."""
-    from flatwall.flatness import flaps
-
     R = F.rendition
-    trivial = {f.graph.edges[0]: cid for cid, f in flaps(F).items()
-               if f.trivial}
+    ground = F.ground()
+    trivial = {g.edges[0]: cid for cid, g in R.sigma.items()
+               if g.n == 2 and g.m == 1 and len(g.vertex_set & ground) == 2}
     own = []
     wall_vs = [v for v in comp.vertices if not (isinstance(v, tuple)
                                                 and v and v[0] == "s")]
@@ -992,7 +991,7 @@ def check_tightness_by_scan(G: Graph, R):
 
 def validate_flatness_by_scan(G: Graph, F, lenient_pegs: bool = False):
     """`flatness.validate_flatness` by `validate_rendition_by_scan` and
-    `check_tightness_by_scan` on a copy of G[Y], without the pair's memo."""
+    `check_tightness_by_scan` on a copy of G[Y]."""
     from flatwall.graph import cyclic_equal, ekey, is_separation, vkey
 
     problems = []

@@ -41,8 +41,6 @@ from test_wall import random_subdivision
 
 def _cold(R):
     R._idx = None
-    for g in R.sigma.values():
-        g._clean_boundary = None
 
 
 def _outcome(check, *args):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from flatwall.errors import InputError
 from flatwall.flatness import (FlatnessPair, classify_cells, cycle_runs,
-                               flaps, generate_fixture, influence,
-                               influence_union, is_regular, short_edges,
-                               untidy_cells, validate_flatness)
+                               generate_fixture, influence, influence_union,
+                               is_regular, short_edges, untidy_cells,
+                               validate_flatness)
 from flatwall.graph import Graph, vkey
 from flatwall.painting import Painting, trace_normal_cycle
 from flatwall.rendition import Rendition, check_tightness
@@ -80,17 +80,19 @@ def test_unknown_profile_rejected():
 
 def test_flap_bases_cover_ground():
     G, F = generate_fixture(1, 5, "with-flaps")
+    ground = F.ground()
     got = set()
-    for fl in flaps(F).values():
-        got |= fl.base
-    assert got == F.ground()
+    for g in F.rendition.sigma.values():
+        got |= g.vertex_set & ground
+    assert got == ground
 
 
 def test_short_edges_are_trivial_flaps():
     G, F = generate_fixture(3, 3)
-    fs = flaps(F)
-    want = {f.graph.edges[0] for f in fs.values() if f.trivial}
-    assert short_edges(F) == want
+    ground = F.ground()
+    want = [(g.edges[0], cid) for cid, g in F.rendition.sigma.items()
+            if g.n == 2 and g.m == 1 and len(g.vertex_set & ground) == 2]
+    assert list(short_edges(F).items()) == want     # in sigma order
     assert want  # the generator leaves some segments unsubdivided
 
 
@@ -266,7 +268,7 @@ def test_memoized_invariants_match_cold_copies(seed, height, profile):
                                      == _cold_interior(_cold_wall(S)))
 
 
-def test_validation_memo_ignores_recycled_graph_ids():
+def test_validation_follows_the_graph_it_is_given():
     G, F = generate_fixture(0, 3)
     assert validate_flatness(G, F) == []
     dropped = F.wall.graph.edges[0]

@@ -115,7 +115,7 @@ def test_regular_pairs_are_well_aligned():
 
 
 def test_planted_fixture_not_well_aligned():
-    G, F = generate_fixture(10, 5, "non-well-aligned")
+    G, F = generate_fixture(10, 5, "with-marginal")
     assert not is_regular(F)
     assert is_well_aligned(F) is False
 
@@ -183,7 +183,8 @@ def _search_on_scans(monkeypatch):
         return got
 
     monkeypatch.setattr(leveling, "_components_of_bullet", comps)
-    monkeypatch.setattr(leveling, "_Index", lambda F: (F, build_index(F)))
+    monkeypatch.setattr(leveling, "_Index",
+                        lambda F, trivial: (F, build_index(F, trivial)))
     monkeypatch.setattr(leveling, "_candidates", cands)
 
 
@@ -218,7 +219,7 @@ def test_indexed_candidates_match_the_scan_on_shared_boundaries(seed):
     F = SimpleNamespace(
         rendition=SimpleNamespace(sigma=sigma, pi_boundary=bounds.__getitem__),
         ground=lambda: frozenset(ground))
-    ix = leveling._Index(F)
+    ix = leveling._Index(F, short_edges(F))
     for _ in range(30):
         att = tuple(sorted(rng.sample(ground, rng.choice([2, 3]))))
         if rng.random() < 0.3:
@@ -235,7 +236,7 @@ def test_search_visits_distinct_labellings_in_order(seed, height, monkeypatch):
     # used twice, components with fewer options first
     G, F = generate_fixture(seed, height, "with-flaps")
     comps, _ = leveling._components_of_bullet(F, w_bullet(F))
-    ix = leveling._Index(F)
+    ix = leveling._Index(F, short_edges(F))
     cands = sorted(((c, leveling._candidates(ix, c)) for c in comps),
                    key=lambda t: len(t[1]))
     want = [combo for combo in itertools.product(*(o for _, o in cands))

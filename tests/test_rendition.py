@@ -322,21 +322,14 @@ def test_shared_flaps_are_checked_once(monkeypatch):
     search = rendition._flap_search
 
     def counting(cid, g, bnd):
-        searched.append(g)
+        searched.append(cid)
         return search(cid, g, bnd)
 
     monkeypatch.setattr(rendition, "_flap_search", counting)
     assert check_tightness(H, R).is_tight
-    searched.clear()
-    again = Rendition(R.painting, R.sigma, R.pi, R.omega)
-    assert check_tightness(H, again).is_tight
-    assert searched == []
-    cold = Rendition(R.painting, {c: Graph(g.vertices, g.edges)
-                                  for c, g in R.sigma.items()},
-                     R.pi, R.omega)
-    assert check_tightness(H, cold).is_tight
     # a single-edge flap needs no search; any other one needs one
-    assert len(searched) == sum(1 for g in R.sigma.values() if g.m > 1)
+    assert sorted(searched, key=str) == sorted(
+        (cid for cid, g in R.sigma.items() if g.m > 1), key=str)
     assert searched
 
 

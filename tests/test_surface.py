@@ -8,7 +8,8 @@ it, give it a caller, or add it to KEPT with the paper notion or file
 format it implements.
 
 The desk limits the README documents are exactly the fields of `Limits`,
-which `Limits.override_from_env` reads from the environment.
+which `Limits.override_from_env` reads from the environment, and the
+fixture profiles it lists are exactly `flatness.PROFILES`.
 
 No module of `src/flatwall` imports a name it never reads, so an import
 left behind by a deletion fails here by name.
@@ -19,6 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from flatwall.config import Limits
+from flatwall.flatness import PROFILES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flatwall"
@@ -110,6 +112,14 @@ def test_readme_names_exactly_the_limit_variables():
     named = set(re.findall(r"FLATWALL_LIMIT_([A-Z][A-Z_]*)",
                            (ROOT / "README.md").read_text()))
     assert sorted(named) == sorted(f.name.upper() for f in fields(Limits))
+
+
+def test_readme_names_exactly_the_fixture_profiles():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.findall(r"fixture profiles \(([^)]*)\)", text)
+    assert len(listed) == 1, "README lists the fixture profiles once"
+    named = re.findall(r"`([^`]+)`", listed[0])
+    assert sorted(named) == sorted(PROFILES)
 
 
 def unread_imports() -> list:
