@@ -24,9 +24,9 @@ from .graph import Graph, cyclic_equal, ekey, is_separation, norm_edge, vkey
 from .painting import Painting, trace_normal_cycle, validate_painting
 from .rendition import (Rendition, check_tightness, flap_union,
                         validate_rendition)
-from .wall import (PegsCorners, Wall, _template, elementary_wall,
-                   fresh_names, subdivide_wall, temp_bricks, temp_corners,
-                   temp_pegs)
+from .wall import (PegsCorners, Wall, _norm_cedge, _template,
+                   elementary_wall, fresh_names, subdivide_wall, temp_bricks,
+                   temp_corners, temp_pegs)
 
 Cycle = Union[Wall, Sequence]
 
@@ -473,8 +473,8 @@ def _plant_untidy(b: _Builder, z_coord, x_coord, y_coord):
     z = W.branch_coords[z_coord]
     x = W.branch_coords[x_coord]
     y = W.branch_coords[y_coord]
-    a = W.seg_paths[_ckey(x_coord, z_coord)]
-    bb = W.seg_paths[_ckey(z_coord, y_coord)]
+    a = W.seg_paths[_norm_cedge(x_coord, z_coord)]
+    bb = W.seg_paths[_norm_cedge(z_coord, y_coord)]
     a = [v for v in a if v not in (x, z)][0]
     bb = [v for v in bb if v not in (z, y)][0]
     w = b.fresh()
@@ -486,16 +486,12 @@ def _plant_untidy(b: _Builder, z_coord, x_coord, y_coord):
     b.replace_with_cell([e1, e2], cid, (x, z, y), sigma)
 
 
-def _ckey(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def _plant_untidy2(b: _Builder, a_coord, b_coord):
     """Mid-segment untidy cell: the middle path vertex becomes a ground
     vertex without being a 3-branch, so a reroute drops it from the wall."""
     from .painting import trace_faces
     W = b.W
-    path = W.seg_paths[_ckey(a_coord, b_coord)]
+    path = W.seg_paths[_norm_cedge(a_coord, b_coord)]
     A, B = path[0], path[-1]
     aa, z, bb = path[1:-1]
     w = b.fresh()
@@ -533,7 +529,7 @@ def _plant_marginal(b: _Builder, o_coord, d_coord, q_coord):
     o = W.branch_coords[o_coord]
     d = W.branch_coords[d_coord]
     q = W.branch_coords[q_coord]
-    path = W.seg_paths[_ckey(d_coord, q_coord)]
+    path = W.seg_paths[_norm_cedge(d_coord, q_coord)]
     s = [v for v in path if v not in (d, q)][0]
     u = b.fresh()
     cid = f"c|marginal|{u}"
@@ -594,23 +590,23 @@ def generate_fixture(seed: int, r: int,
                  if T.degree[c] == 3 and c not in T.perimeter_set]
         z = rng.choice(sorted(inner))
         untidy_site = ((z[0] - 1, z[1]), z, (z[0] + 1, z[1]))
-        forced[_ckey(untidy_site[0], z)] = 1
-        forced[_ckey(z, untidy_site[2])] = 1
+        forced[_norm_cedge(untidy_site[0], z)] = 1
+        forced[_norm_cedge(z, untidy_site[2])] = 1
     if profile == "with-untidy2":
         sites = [e for e in T.edges if e[0] not in T.perimeter_set
                  and e[1] not in T.perimeter_set]
         untidy2_site = rng.choice(sorted(sites))
-        forced[_ckey(*untidy2_site)] = 3
+        forced[_norm_cedge(*untidy2_site)] = 3
     if profile in ("with-marginal", "combined"):
         marginal_site = rng.choice(_marginal_sites(r))
-        forced[_ckey(marginal_site[1], marginal_site[2])] = 1
+        forced[_norm_cedge(marginal_site[1], marginal_site[2])] = 1
 
     W0 = elementary_wall(r)
     plan = {}
     for (ca, cb) in W0.seg_paths:
         u, v = W0.branch_coords[ca], W0.branch_coords[cb]
-        if _ckey(ca, cb) in forced:
-            plan[(u, v)] = forced[_ckey(ca, cb)]
+        if _norm_cedge(ca, cb) in forced:
+            plan[(u, v)] = forced[_norm_cedge(ca, cb)]
         elif rng.random() < 0.12:
             plan[(u, v)] = rng.choice((1, 1, 2))
     W = subdivide_wall(W0, plan)

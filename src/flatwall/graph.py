@@ -584,15 +584,6 @@ def minor_model(G: Graph, H: Graph, limit: Optional[int] = None) -> Optional[Dic
 
     assign = {}  # g-vertex -> class index or -1 for unused
 
-    def closed(i, upto):
-        # class i can no longer grow: none of its vertices sees an unprocessed vertex
-        members = [g for g, c in assign.items() if c == i]
-        for g in members:
-            for u in G.neighbors(g):
-                if u not in assign:
-                    return False
-        return True
-
     def feasible(k):
         # cheap pruning after assigning gverts[:k]
         empty = sum(1 for i in range(t)
@@ -605,7 +596,10 @@ def minor_model(G: Graph, H: Graph, limit: Optional[int] = None) -> Optional[Dic
                 continue
             comps = Graph(members, [e for e in G.edge_set
                                     if e[0] in members and e[1] in members]).components()
-            if len(comps) > 1 and closed(i, k):
+            # a split class that can no longer grow: none of its vertices
+            # sees an unprocessed vertex
+            if len(comps) > 1 and all(u in assign for g in members
+                                      for u in G.neighbors(g)):
                 return False
         return True
 

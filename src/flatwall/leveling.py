@@ -4,18 +4,38 @@ The leveling is the bipartite incidence graph of ground vertices and
 flap-vertices. W-bullet is the wall with every short edge subdivided once.
 A pair is well-aligned when the leveling contains a wall R_W, with the
 same boundary as the leveling itself, such that W-bullet is isomorphic to
-a subdivision of R_W by an isomorphism fixing every ground vertex.
+a subdivision of R_W by an isomorphism fixing every ground vertex. So R_W
+is the quotient of W-bullet that collapses each ground-free component to
+one flap-vertex, and the only freedom is the labelling: each component
+takes one of its `_candidates`, no flap two components.
 
-Fixing the ground pointwise forces the whole shape: each ground vertex of
-W-bullet must appear in R_W, so R_W is the quotient of W-bullet that
-collapses every ground-free component to a single flap-vertex. The only
-freedom left is which flap labels the component, and the remaining checks
-are the component shapes and the boundary cycle identity.
+No search over labellings is needed, as `_build` depends on the labels
+only through injectivity and the boundary walk:
 
-The search builds its tables once per pair (`_Index`) and reads them for
-every component, so a representation costs the flaps of the pair and not
-the flaps times the components. The indexed candidates equal the scan over
-every cell that they replace:
+- an injective labelling only names the collapsed components, so neither
+  the quotient wall's validity nor `_reconstructs` (whose tau paths are
+  the legs) depends on it;
+- R_W's perimeter is W-bullet's, each run of a component collapsed to one
+  flap-vertex between the run's two ground neighbours. The walk must be
+  that cycle, with distinct vertices, so it forces the label of each
+  component on the perimeter: the cell it puts between those neighbours
+  (two cells only on a walk of four vertices, shorter than any wall's).
+
+`_search` keeps that one candidate for those components, gives all
+components distinct candidates by augmenting paths, which exist whenever
+any labelling does, and runs `_build` once: it decides exactly what a
+search over every labelling decides. On a regular pair it returns that
+search's first leaf, each component labelled by its own flap, so the
+representation bytes are the same:
+
+- the own flaps are distinct: two components in one tidy flap would need
+  four attachment edges on at most three boundary vertices;
+- the walk's cell between two ground vertices is the flap holding the
+  perimeter piece between them; any other cell there would be external.
+
+The tables are built once per pair (`_Index`), so a representation costs
+the flaps of the pair and not the flaps times the components. The indexed
+candidates equal the scan over every cell that they replace:
 
 - the own flap of a component with a wall vertex v is the first cell, in
   sigma order, holding v off its boundary; `owner` records that first cell
@@ -25,18 +45,17 @@ every cell that they replace:
   filtered by `attachments <= boundary`, are exactly the cells the scan
   keeps, in the scan's order.
 
-A component's edges are the edges at its vertices. The search reads them,
-their degrees and the legs' BFS paths from the adjacency of W-bullet,
-restricted at each attachment to the component: that is the adjacency of
-the graph of those edges, which the scan over every edge of W-bullet
-builds, with the same sorted neighbour order.
+A component's edges, their degrees and the legs' BFS paths are read from
+the adjacency of W-bullet restricted at each attachment to the component:
+the adjacency of the graph of the edges at its vertices, which the scan
+over every edge of W-bullet builds, with the same sorted neighbour order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import CapacityError, InputError, InternalError
+from .errors import InputError, InternalError
 from .flatness import FlatnessPair, is_regular, short_edges
 from .graph import Graph, bfs_path, cyclic_equal, norm_edge, vkey
 from .painting import outer_face
@@ -221,15 +240,12 @@ def _reconstructs(rep: Representation, Wb: Graph) -> bool:
 
 def _build(label: Dict[FrozenSet, object], comps: List[_Component],
            Wb_wall: Wall, Wb: Graph, ground: FrozenSet,
-           walk: Optional[Tuple]) -> Optional[Representation]:
+           walk: Tuple) -> Optional[Representation]:
     RW = _quotient_wall(ground, Wb_wall, label)
     if RW.validate():
         return None
-    rho: Dict[Tuple, object] = {}
+    rho: Dict[Tuple, object] = {x: x for x in Wb.vertices if x in ground}
     tau: Dict[Tuple, Tuple] = {}
-    for x in Wb.vertices:
-        if x in ground:
-            rho[x] = x
     for comp in comps:
         v = _fv(label[comp.vertices])
         rho[v] = comp.center
@@ -238,89 +254,82 @@ def _build(label: Dict[FrozenSet, object], comps: List[_Component],
     rep = Representation(RW, rho, tau)
     if not _reconstructs(rep, Wb):
         return None
-    if walk is None or len(set(walk)) != len(walk):
-        return None
-    if not cyclic_equal(walk, RW.perimeter):
-        return None
-    return rep
+    # a valid wall's perimeter has distinct vertices, and so has the walk
+    return rep if cyclic_equal(walk, RW.perimeter) else None
 
 
-_NONE = object()
+def _augment(root: FrozenSet, cands: Dict, label: Dict,
+             holder: Dict) -> bool:
+    """Label component root by an augmenting path, breadth first from its
+    own flap: each component on the path passes its cell back to the one
+    before it and takes the next."""
+    via = {}                       # cell -> the component that reached it
+    queue = [root]
+    for key in queue:              # walked as it grows: breadth first
+        for cid in cands[key]:
+            if cid in via:
+                continue
+            via[cid] = key
+            if cid in holder:
+                queue.append(holder[cid])
+                continue
+            while cid is not None:
+                key = via[cid]
+                label[key], cid = cid, label.get(key)
+                holder[label[key]] = key
+            return True
+    return False
 
 
-def _search(F: FlatnessPair, limit: int) -> Optional[Representation]:
-    """Label every component with a distinct candidate flap, depth first.
-
-    Components with fewer candidates come first. Each complete labelling
-    is a leaf; the leaf after the first `limit` raises `CapacityError`.
-    The per-pair tables (`_Index`, the ground, the boundary walk) are
-    built here once, and an explicit stack of option iterators replaces
-    recursion, so the depth is not bounded by the number of components.
-    """
+def _search(F: FlatnessPair) -> Optional[Representation]:
+    """The representation of F, or None when there is none: `_build` on
+    the one labelling the module docstring derives."""
     trivial = short_edges(F)
     Wb_wall = _bullet_wall(F, trivial)
     Wb = Wb_wall.graph
-    comps, bad = _components_of_bullet(F, Wb)
-    if comps is None:
+    comps, _ = _components_of_bullet(F, Wb)
+    walk = _leveling_boundary_walk(F)
+    if comps is None or walk is None:
         return None
     ix = _Index(F, trivial)
-    cands = [(comp, _candidates(ix, comp)) for comp in comps]
-    cands.sort(key=lambda t: len(t[1]))
-    ground = F.ground()
-    walk = _leveling_boundary_walk(F)
-    tried = 0
-    used = set()
-    label: Dict[FrozenSet, object] = {}
-    stack = []                     # option iterators of cands[:len(stack)]
-    while True:
-        if len(stack) == len(cands):
-            tried += 1
-            if tried > limit:
-                raise CapacityError("well-alignment search over the limit")
-            got = _build(label, comps, Wb_wall, Wb, ground, walk)
-            if got is not None:
-                return got
-        else:
-            stack.append(iter(cands[len(stack)][1]))
-        # move the deepest component to its next unused option, backing
-        # up past components whose options are used up
-        while stack:
-            key = cands[len(stack) - 1][0].vertices
-            if key in label:
-                used.discard(label.pop(key))
-            cid = next((c for c in stack[-1] if c not in used), _NONE)
-            if cid is not _NONE:
-                used.add(cid)
-                label[key] = cid
-                break
-            stack.pop()
-        if not stack:
-            return None
+    cands = {comp.vertices: _candidates(ix, comp) for comp in comps}
+    # a component on the perimeter keeps the one candidate the walk puts
+    # between its ground neighbours there
+    n = len(walk)
+    between = {frozenset((walk[i - 1], walk[(i + 1) % n])): walk[i]
+               for i in range(n)}
+    comp_at = {v: comp.vertices for comp in comps for v in comp.vertices}
+    ground, P = F.ground(), Wb_wall.perimeter
+    near: Dict[FrozenSet, set] = {}
+    for u, v in zip(P, P[1:] + P[:1]):
+        if (u in ground) != (v in ground):
+            x, g = (v, u) if u in ground else (u, v)
+            near.setdefault(comp_at[x], set()).add(g)
+    for key, g in near.items():
+        f = between.get(frozenset(g))
+        cands[key] = [cid for cid in cands[key] if _fv(cid) == f]
+    label, holder = {}, {}         # component -> cell, and back
+    if not all(_augment(comp.vertices, cands, label, holder)
+               for comp in comps):
+        return None
+    return _build(label, comps, Wb_wall, Wb, ground, walk)
 
 
 def representation(F: FlatnessPair) -> Representation:
-    """The representation of a regular pair.
-
-    Raises `CapacityError` when the search runs past its limit and
-    `InternalError` when it finishes without one.
-    """
+    """The representation of a regular pair; `InternalError` if there is
+    none."""
     if not is_regular(F):
         raise InputError("representation requires a regular pair")
-    rep = _search(F, limit=50)
+    rep = _search(F)
     if rep is None:
-        raise InternalError(
-            "no representation found for a regular pair")
+        raise InternalError("no representation found for a regular pair")
     return rep
 
 
-def is_well_aligned(F: FlatnessPair, limit: int = 2000) -> Union[bool, str]:
-    """True / False, or "unknown" when the search runs past `limit`. A
-    regular pair whose finished search finds no representation raises
-    `InternalError`."""
-    try:
-        rep = _search(F, limit=limit)
-    except CapacityError:
-        return "unknown"
+def is_well_aligned(F: FlatnessPair) -> bool:
+    """Whether F, regular or not, has a representation. A regular pair
+    without one raises `InternalError`."""
+    rep = _search(F)
     if rep is None and is_regular(F):
         raise InternalError("no representation found for a regular pair")
     return rep is not None

@@ -311,8 +311,8 @@ def tilt_main(G: Graph, F: FlatnessPair, Wp: Wall) -> TiltResult:
     w.outer = tuple(node_of.get(v, pi_inv.get(v)) for v in w.omega)
     if any(n is None for n in w.outer):
         raise InternalError("boundary vertex without a node", witness=w.omega)
-    # built on the painting the search validated, so that validate_flatness
-    # finds its verdict kept
+    # built on the painting the placement search validated, so that
+    # validate_flatness reuses the validate_painting result it keeps
     Rn = Rendition(w.replace_cells(replacements), w.sigma, w.pi, w.omega)
     pair = FlatnessPair(Wtil, Xp, Yp, PegsCorners(frozenset(pegs),
                                                   frozenset(corners)), Rn)

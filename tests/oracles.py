@@ -19,7 +19,10 @@ are each kept as the reference for a faster library method:
   kernel that numbers them;
 - `components_by_scan` and `candidates_by_scan`, the per-component scans
   of every edge of W-bullet and every cell of the rendition, for the
-  leveling search that reads adjacency and tables built once per pair;
+  leveling labelling that reads adjacency and tables built once per pair;
+- `representation_by_search`, the depth-first search over every labelling
+  of W-bullet's components, for the labelling that the boundary walk and
+  one matching build;
 - `recognize_wall_by_search` and `skeleton_embeddings_by_search`, the
   depth-first search over skeleton embeddings that tries candidates in
   `vkey` order, with `suppressed_by_sort`, the arc tracer that orients
@@ -455,6 +458,54 @@ def candidates_by_scan(F, comp):
             if cid not in own
             and set(comp.attachments) <= R.pi_boundary(cid)]
     return own + rest
+
+
+def representation_by_search(F):
+    """`leveling._search` by a depth-first search over labellings: each
+    component takes a distinct candidate flap, components with fewer
+    candidates first, and the first labelling that `leveling._build`
+    accepts is the answer; None when none is, or there is no walk.
+    Unbounded, with an explicit stack of option iterators, so the depth is
+    not bounded by recursion."""
+    from flatwall import leveling
+    from flatwall.flatness import short_edges
+
+    trivial = short_edges(F)
+    Wb_wall = leveling._bullet_wall(F, trivial)
+    Wb = Wb_wall.graph
+    comps, _ = leveling._components_of_bullet(F, Wb)
+    walk = leveling._leveling_boundary_walk(F)
+    if comps is None or walk is None:
+        return None
+    ix = leveling._Index(F, trivial)
+    cands = [(comp, leveling._candidates(ix, comp)) for comp in comps]
+    cands.sort(key=lambda t: len(t[1]))
+    ground = F.ground()
+    none = object()
+    used = set()
+    label = {}
+    stack = []                     # option iterators of cands[:len(stack)]
+    while True:
+        if len(stack) == len(cands):
+            got = leveling._build(label, comps, Wb_wall, Wb, ground, walk)
+            if got is not None:
+                return got
+        else:
+            stack.append(iter(cands[len(stack)][1]))
+        # move the deepest component to its next unused option, backing
+        # up past components whose options are used up
+        while stack:
+            key = cands[len(stack) - 1][0].vertices
+            if key in label:
+                used.discard(label.pop(key))
+            cid = next((c for c in stack[-1] if c not in used), none)
+            if cid is not none:
+                used.add(cid)
+                label[key] = cid
+                break
+            stack.pop()
+        if not stack:
+            return None
 
 
 # -- the tuple-dart painting tracer ------------------------------------------

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-import flatwall.leveling
 import flatwall.serialize
 from flatwall.cli import load_oracle, load_params, main
 from flatwall.config import Params
@@ -338,17 +337,6 @@ def test_cli_leveling_representation_at_height_21(tmp_path):
         wall_from_json(d["wall"]), {dec(k): dec(v) for k, v in d["rho"]},
         {dec(k): tuple(dec(v) for v in p) for k, p in d["tau"]})
     check_representation(F, rep)
-
-
-def test_cli_leveling_exhausted_search_exits_3(tmp_path, monkeypatch):
-    path, G, F = write_pair(tmp_path, 8, 5)
-    search = flatwall.leveling._search
-    monkeypatch.setattr(flatwall.leveling, "_search",
-                        lambda F, limit: search(F, 0))
-    res = runner.invoke(main, ["leveling", "--pair", str(path),
-                               "--representation"])
-    assert res.exit_code == 3, res.output
-    assert json.loads(res.stderr)["error"]["code"] == "CapacityError"
 
 
 def test_cli_find_wall_decomposition(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwall import leveling
-from flatwall.errors import CapacityError, InputError, InternalError
+from flatwall.errors import InputError, InternalError
 from flatwall.flatness import (PROFILES, generate_fixture, is_regular,
                                short_edges)
 from flatwall.graph import Graph
@@ -16,7 +16,8 @@ from flatwall.leveling import (is_well_aligned, leveling_graph, representation,
 from flatwall.serialize import canonical_bytes, representation_to_json
 from flatwall.tilt import regularize
 
-from oracles import candidates_by_scan, components_by_scan
+from oracles import (candidates_by_scan, components_by_scan,
+                     representation_by_search)
 
 DEFECTS = ["with-untidy", "with-untidy2", "with-marginal", "with-external",
            "combined"]
@@ -123,8 +124,7 @@ def test_planted_fixture_not_well_aligned():
 @pytest.mark.parametrize("profile", DEFECTS)
 def test_defect_profiles_not_well_aligned(profile):
     G, F = generate_fixture(11, 5, profile)
-    verdict = is_well_aligned(F)
-    assert verdict is False or verdict == "unknown"
+    assert is_well_aligned(F) is False
 
 
 def check_representation(F, rep):
@@ -154,7 +154,7 @@ def test_regularized_fixtures_always_represent(seed):
 
 
 def test_representation_at_height_21():
-    # 1279 components, 1277 of them with one candidate: one level each
+    # 1279 components, 1277 of them with one candidate
     G, F = generate_fixture(0, 21, "with-flaps")
     out = regularize(G, F)
     check_representation(out, representation(out))
@@ -232,8 +232,9 @@ def test_indexed_candidates_match_the_scan_on_shared_boundaries(seed):
 
 @pytest.mark.parametrize("seed, height", [(0, 3), (2, 3), (1, 5)])
 def test_search_visits_distinct_labellings_in_order(seed, height, monkeypatch):
-    # every leaf, in order: the product of the option lists with no flap
-    # used twice, components with fewer options first
+    # the reference search tries every leaf, in order: the product of the
+    # option lists with no flap used twice, components with fewer options
+    # first
     G, F = generate_fixture(seed, height, "with-flaps")
     comps, _ = leveling._components_of_bullet(F, w_bullet(F))
     ix = leveling._Index(F, short_edges(F))
@@ -245,22 +246,12 @@ def test_search_visits_distinct_labellings_in_order(seed, height, monkeypatch):
     seen = []
     monkeypatch.setattr(leveling, "_build", lambda label, *rest: seen.append(
         tuple(label[c.vertices] for c, _ in cands)))
-    assert leveling._search(F, limit=len(want)) is None
+    assert representation_by_search(F) is None
     assert seen == want
+    # the labelling builds one of them, the first: every own flap
     seen.clear()
-    with pytest.raises(CapacityError):
-        leveling._search(F, limit=len(want) - 1)
-    assert seen == want[:-1]
-
-
-def test_exhausted_search_is_a_capacity_error(monkeypatch):
-    G, F = generate_fixture(9, 5, "with-flaps")
-    assert is_regular(F)
-    search = leveling._search
-    monkeypatch.setattr(leveling, "_search", lambda F, limit: search(F, 0))
-    with pytest.raises(CapacityError):
-        representation(F)
-    assert is_well_aligned(F) == "unknown"
+    assert leveling._search(F) is None
+    assert seen == want[:1]
 
 
 def test_finished_search_without_representation_is_internal(monkeypatch):
@@ -270,10 +261,3 @@ def test_finished_search_without_representation_is_internal(monkeypatch):
         representation(F)
     with pytest.raises(InternalError):
         is_well_aligned(F)
-
-
-def test_well_alignment_of_a_regular_pair_keeps_the_limit():
-    G, F = generate_fixture(9, 5, "with-flaps")
-    assert is_regular(F)
-    assert is_well_aligned(F, limit=0) == "unknown"
-    assert is_well_aligned(F) is True

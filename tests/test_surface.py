@@ -1,11 +1,12 @@
 """No library surface that only tests reach.
 
-Every top-level function and class of `src/flatwall` must have a reader in
-`src/` or `perfbench/`: a name or attribute that loads it outside its own
-definition, or a dotted name quoted in `perfbench/tracing.py`'s TARGETS.
-Imports alone do not count. A dead definition fails here by name; delete
-it, give it a caller, or add it to KEPT with the paper notion or file
-format it implements.
+Every top-level function and class of `src/flatwall`, and every method of
+its classes other than a dunder, must have a reader in `src/` or
+`perfbench/`: a name or attribute that loads it outside its own definition,
+or a dotted name quoted in `perfbench/tracing.py`'s TARGETS. Imports alone
+do not count. A dead definition fails here by name (`Class.method` for a
+method); delete it, give it a caller, or add it to KEPT with the paper
+notion or file format it implements.
 
 The desk limits the README documents are exactly the fields of `Limits`,
 which `Limits.override_from_env` reads from the environment, and the
@@ -29,12 +30,13 @@ SRC = ROOT / "src" / "flatwall"
 KEPT = {
     "admits_pegs_corners": "the choice of pegs and corners",
     "choices_of_pegs_corners": "the choice of pegs and corners",
-    "is_well_aligned": "well-alignment of a regular flatness pair",
+    "is_well_aligned": "well-alignment of a flatness pair",
     "stretching": "the stretching of a flap path",
     "temp_degree": "the elementary r-wall, its degrees",
     "temp_edges": "the elementary r-wall, its edges",
     "temp_vertices": "the elementary r-wall, its vertices",
     "w_bullet": "the graph W-bullet of a leveling",
+    "Wall.bricks": "the bricks of a wall",
     "write_bundle": "the bundle format, the partner of read_bundle",
 }
 
@@ -71,9 +73,16 @@ def _traced_names() -> set:
     raise AssertionError("perfbench/tracing.py has no TARGETS")
 
 
+def _methods(cls):
+    """The methods of a class, dunders aside (Python calls those)."""
+    return [n for n in cls.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
 def unread_definitions(kept=KEPT) -> list:
-    defined = []            # (module, name, node)
-    reads = {}              # (module, top-level name or None) -> loads
+    defined = []            # (name, key prefix of its own reads, entry, node)
+    reads = {}              # (module, top-level name or None, method) -> loads
     bench = ROOT / "perfbench"
     for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -81,19 +90,31 @@ def unread_definitions(kept=KEPT) -> list:
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                if path.parent == SRC:
-                    defined.append((mod, stmt.name, stmt))
-                reads[mod, stmt.name] = _loads(stmt)
+                if path.parent == SRC and not _is_click_command(stmt):
+                    defined.append((stmt.name, (mod, stmt.name), stmt.name,
+                                    stmt))
+                members = (_methods(stmt) if isinstance(stmt, ast.ClassDef)
+                           else [])
+                for m in members:
+                    reads[mod, stmt.name, m.name] = _loads(m)
+                    if path.parent == SRC:
+                        defined.append((m.name, (mod, stmt.name, m.name),
+                                        f"{stmt.name}.{m.name}", m))
+                rest = [n for n in ast.iter_child_nodes(stmt)
+                        if n not in members]
+                reads[mod, stmt.name, None] = set().union(
+                    *map(_loads, rest))
             else:
-                reads.setdefault((mod, None), set()).update(_loads(stmt))
+                reads.setdefault((mod, None, None), set()).update(
+                    _loads(stmt))
     traced = _traced_names()
     dead = []
-    for mod, name, node in defined:
-        if name in kept or name in traced or _is_click_command(node):
+    for name, own, entry, node in defined:
+        if entry in kept or name in traced:
             continue
         if not any(name in loads for key, loads in reads.items()
-                   if key != (mod, name)):
-            dead.append(f"{mod}:{node.lineno} {name}")
+                   if key[:len(own)] != own):
+            dead.append(f"{own[0]}:{node.lineno} {entry}")
     return dead
 
 
